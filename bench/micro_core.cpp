@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks for the simulator hot paths: event
-// scheduling, medium broadcast fan-out, tone-window queries, and a whole
-// small experiment as the end-to-end figure of merit.
+// scheduling, medium broadcast fan-out, tone-window queries, backoff
+// contention, and a whole small experiment as the end-to-end figure of
+// merit.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -10,6 +12,7 @@
 #include <new>
 #include <vector>
 
+#include "mac/backoff.hpp"
 #include "mac/frame_builders.hpp"
 #include "mobility/spatial_index.hpp"
 #include "phy/medium.hpp"
@@ -237,6 +240,62 @@ void BM_ToneWindowQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ToneWindowQuery);
+
+// MAC backoff layer: N countdowns on one scheduler under a scripted channel
+// duty cycle (busy 300 us, then idle, with a 50 us DIFS-like threshold, for
+// 200 us), every edge notifying every engine; each engine redraws from CW 31
+// and restarts when it fires, so all N contend for the whole run.  Reports
+// ns per fire and scheduler events per fire: sampling every 20 us slot with
+// its own event would cost about one event per engine per slot.
+void BM_BackoffContention(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr SimTime kSpan = SimTime::ms(100);
+  constexpr SimTime kPeriod = SimTime::us(500);
+  constexpr SimTime kBusy = SimTime::us(300);
+  struct DutyCycle final : BackoffEngine::Channel {
+    bool busy{false};
+    SimTime idle_from{SimTime::zero()};
+    [[nodiscard]] BackoffEngine::Forecast backoff_forecast() const override {
+      if (busy) return {SimTime::max(), SimTime::max()};
+      return {idle_from, SimTime::max()};
+    }
+  };
+  std::uint64_t fires = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    Scheduler sched;
+    DutyCycle channel;
+    std::vector<std::unique_ptr<BackoffEngine>> engines;
+    for (std::size_t i = 0; i < n; ++i) {
+      engines.push_back(std::make_unique<BackoffEngine>(sched, SimTime::us(20), Rng{i + 1}));
+      BackoffEngine& e = *engines.back();
+      e.set_channel(channel, [&fires, &e] {
+        ++fires;
+        e.draw(31);
+        e.ensure_running(31);
+      });
+    }
+    const auto edge = [&](bool busy) {
+      channel.busy = busy;
+      if (!busy) channel.idle_from = sched.now() + SimTime::us(50);
+      for (auto& e : engines) e->notify();
+    };
+    for (SimTime t = SimTime::zero(); t < kSpan; t += kPeriod) {
+      sched.schedule_at(t, [&edge] { edge(true); });
+      sched.schedule_at(t + kBusy, [&edge] { edge(false); });
+    }
+    for (auto& e : engines) e->ensure_running(31);
+    sched.run_until(kSpan);
+    events += sched.executed_count();
+  }
+  state.counters["events_per_fire"] =
+      static_cast<double>(events) / static_cast<double>(std::max<std::uint64_t>(fires, 1));
+  state.counters["ns_per_fire"] =
+      benchmark::Counter(static_cast<double>(fires) * 1e-9,
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fires));
+}
+BENCHMARK(BM_BackoffContention)->Arg(8)->Arg(75);
 
 // Steady-state delivery path: one broadcast through a warm 75-radio medium,
 // with a global allocation counter proving the whole transmit -> fan-out ->

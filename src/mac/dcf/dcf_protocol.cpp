@@ -1,5 +1,6 @@
 #include "mac/dcf/dcf_protocol.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -19,21 +20,30 @@ Dot11Base::Dot11Base(Scheduler& scheduler, Radio& radio, Rng rng, MacParams para
       backoff_{scheduler, radio.medium().params().slot, rng.fork(0xd0f)},
       cw_{params.cw_min} {
   radio_.set_listener(this);
-  backoff_.set_callbacks([this] { return idle_for_difs(); }, [this] { on_contention_won(); });
+  backoff_.set_channel(*this, [this] { on_contention_won(); });
 }
 
 Dot11Base::~Dot11Base() { radio_.set_listener(nullptr); }
 
-bool Dot11Base::idle_for_difs() const noexcept {
-  if (radio_.carrier_busy() || !nav_clear()) return false;
-  return scheduler_.now() - last_busy_end_ >= phy_.difs;
+void Dot11Base::settle_stats() {
+  const BackoffEngine::SlotCounts& c = backoff_.slots();
+  stats_.backoff_idle_slots = c.idle;
+  stats_.backoff_busy_slots = c.busy;
+}
+
+BackoffEngine::Forecast Dot11Base::backoff_forecast() const {
+  if (radio_.carrier_busy()) return {SimTime::max(), SimTime::max()};
+  return {std::max(nav_until_, last_busy_end_ + phy_.difs), SimTime::max()};
 }
 
 void Dot11Base::update_nav(const Frame& frame) {
   if (params_.fault_ignore_nav) return;  // mutation: deaf to virtual carrier sense
   if (frame.duration <= SimTime::zero()) return;
   const SimTime until = scheduler_.now() + frame.duration;
-  if (until > nav_until_) nav_until_ = until;
+  if (until > nav_until_) {
+    nav_until_ = until;
+    backoff_.notify();
+  }
 }
 
 void Dot11Base::contend() { backoff_.ensure_running(cw_); }
@@ -94,6 +104,7 @@ void Dot11Base::on_frame_received(const FramePtr& frame) {
 
 void Dot11Base::on_carrier_changed(bool busy) {
   if (!busy) last_busy_end_ = scheduler_.now();
+  backoff_.notify();
   on_carrier_hook(busy);
 }
 

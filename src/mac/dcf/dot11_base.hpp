@@ -14,9 +14,10 @@
 
 namespace rmacsim {
 
-class Dot11Base : public MacProtocol {
+class Dot11Base : public MacProtocol, private BackoffEngine::Channel {
 public:
   [[nodiscard]] NodeId id() const noexcept override { return radio_.id(); }
+  void settle_stats() override;
 
   // The devirtualized front door (mac/mac_dispatch.hpp) forwards the radio
   // events straight to the protected listener overrides below.
@@ -28,9 +29,11 @@ protected:
 
   // --- Carrier sense -------------------------------------------------------
   [[nodiscard]] bool nav_clear() const noexcept { return scheduler_.now() >= nav_until_; }
-  // Channel idle (physically and virtually) and has been physically idle for
-  // at least DIFS — the predicate a backoff slot decrements under.
-  [[nodiscard]] bool idle_for_difs() const noexcept;
+  // Backoff view: a slot decrements while the channel is idle physically
+  // and virtually and has been physically idle for at least DIFS.  Its
+  // inputs are the carrier, nav_until_ and last_busy_end_; every change to
+  // one of them calls backoff_.notify().
+  [[nodiscard]] BackoffEngine::Forecast backoff_forecast() const override;
   void update_nav(const Frame& frame);
 
   // --- Contention ----------------------------------------------------------

@@ -79,6 +79,9 @@ public:
 
   [[nodiscard]] MacStats& stats() noexcept { return stats_; }
   [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
+  // Bring the lazily counted stats (backoff slot samples) up to now();
+  // end-of-run collection calls this before reading stats().
+  virtual void settle_stats() {}
 
   // Pending transmission requests (observability probes; excludes any
   // request currently in service).

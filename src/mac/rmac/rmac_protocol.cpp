@@ -39,12 +39,20 @@ RmacProtocol::RmacProtocol(Scheduler& scheduler, Radio& radio, ToneChannel& rbt,
       backoff_{scheduler, SimTime::us(20), rng.fork(kBackoffStream)},
       cw_{params.mac.cw_min} {
   radio_.set_listener(this);
-  backoff_.set_callbacks([this] { return channels_idle(); }, [this] { on_backoff_fire(); });
+  backoff_.set_channel(*this, [this] { on_backoff_fire(); });
+  if (params_.rbt_protection) rbt_.watch(id(), this);
 }
 
 RmacProtocol::~RmacProtocol() {
   radio_.set_listener(nullptr);
   rbt_.unsubscribe_edges(id());
+  if (params_.rbt_protection) rbt_.watch(id(), nullptr);
+}
+
+void RmacProtocol::settle_stats() {
+  const BackoffEngine::SlotCounts& c = backoff_.slots();
+  stats_.backoff_idle_slots = c.idle;
+  stats_.backoff_busy_slots = c.busy;
 }
 
 void RmacProtocol::set_state(State next, const char* why) {
@@ -65,6 +73,14 @@ bool RmacProtocol::channels_idle() const {
   if (radio_.carrier_busy()) return false;
   if (!params_.rbt_protection) return true;
   return !rbt_.my_tone_on(id()) && !rbt_.sensed_at(id());
+}
+
+BackoffEngine::Forecast RmacProtocol::backoff_forecast() const {
+  if (radio_.carrier_busy()) return {SimTime::max(), SimTime::max()};
+  if (!params_.rbt_protection) return {SimTime::zero(), SimTime::max()};
+  if (rbt_.my_tone_on(id())) return {SimTime::max(), SimTime::max()};
+  const ToneChannel::QuietSpan q = rbt_.quiet_span(id());
+  return {q.from, q.until};
 }
 
 // ---------------------------------------------------------------------------
@@ -386,6 +402,7 @@ void RmacProtocol::handle_mrts(const FramePtr& frame) {
 }
 
 void RmacProtocol::on_carrier_changed(bool busy) {
+  backoff_.notify();
   if (!rx_.has_value() || state_ != State::kWfRdata) return;
   if (busy && !rx_->data_arriving) {
     // First bit of the data frame arrived before T_wf_rdata expired: cancel

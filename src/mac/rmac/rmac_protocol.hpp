@@ -24,7 +24,9 @@
 
 namespace rmacsim {
 
-class RmacProtocol final : public MacProtocol {
+class RmacProtocol final : public MacProtocol,
+                            private BackoffEngine::Channel,
+                            private ToneWatcher {
 public:
   enum class State : std::uint8_t {
     kIdle,
@@ -70,6 +72,7 @@ public:
   void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] NodeId id() const noexcept override { return radio_.id(); }
   [[nodiscard]] std::string name() const override { return "RMAC"; }
+  void settle_stats() override;
 
   // --- RadioListener ------------------------------------------------------
   void on_frame_received(const FramePtr& frame) override;
@@ -105,6 +108,12 @@ private:
   void maybe_start();
   void on_backoff_fire();
   [[nodiscard]] bool channels_idle() const;
+  // Backoff view of channels_idle(): its inputs are the carrier, this
+  // node's RBT and the foreign RBTs it senses.  on_carrier_changed and the
+  // RBT channel's watcher call — made for this node's own tone edges too —
+  // notify the engine.
+  [[nodiscard]] BackoffEngine::Forecast backoff_forecast() const override;
+  void on_tone_changed() override { backoff_.notify(); }
 
   void begin_transmission();
   void transmit_mrts();

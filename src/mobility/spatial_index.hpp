@@ -77,6 +77,9 @@ public:
   }
 
   [[nodiscard]] std::uint64_t rebuild_count() const noexcept { return epoch_; }
+  // Highest max_speed() of any entry as of the last rebuild (prepare(t)
+  // first); 0 when nothing moves.
+  [[nodiscard]] double max_speed() const noexcept { return max_speed_mps_; }
 
   // --- Packed (SoA-friendly) access ----------------------------------------
   // The CSR bucket layout is also the canonical packed ordering for the

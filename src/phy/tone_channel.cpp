@@ -35,6 +35,33 @@ void ToneChannel::detach(NodeId id) noexcept {
   index_.remove(id);
   sources_.erase(id);
   edge_subs_.erase(id);
+  std::erase(on_sources_, id);
+}
+
+void ToneChannel::watch(NodeId listener, ToneWatcher* watcher) {
+  const auto it = sources_.find(listener);
+  assert(it != sources_.end() && "watch on unattached node");
+  it->second.watcher = watcher;
+  if (watcher != nullptr) any_watcher_ = true;
+}
+
+void ToneChannel::notify_watchers(NodeId id) {
+  // Collect first: a watcher re-plans through quiet_span, whose sweep
+  // shares the SoA scratch this one walks.
+  const SimTime now = scheduler_.now();
+  const Vec2 pos = sources_.find(id)->second.mobility->position(now);
+  sync_soa(now);
+  double reach = params_.range_m + 1.0;
+  if (index_.max_speed() > 0.0) reach += watch_margin_m();
+  std::vector<ToneWatcher*> watchers;
+  watchers.swap(watch_scratch_);
+  soa_.for_each_in_disk(index_, pos, reach, now, [&](std::uint32_t k, double) {
+    ToneWatcher* w = static_cast<const Source*>(soa_.payloads()[k])->watcher;
+    if (w != nullptr) watchers.push_back(w);
+  });
+  for (ToneWatcher* w : watchers) w->on_tone_changed();
+  watchers.clear();
+  watch_scratch_.swap(watchers);
 }
 
 void ToneChannel::prune(const Source& s) const {
@@ -72,12 +99,15 @@ void ToneChannel::set_tone(NodeId id, bool on) {
     s.history.push_back(Interval{now, SimTime::max()});
     prune(s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
+    on_sources_.push_back(id);
     if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, now);
   } else {
     assert(!s.history.empty());
     on_time_total_ += now - s.history.back().on;
     s.history.back().off = now;
     prune(s);
+    std::erase(on_sources_, id);
+    last_off_ = now;
   }
   if (tracer_ != nullptr && tracer_->wants(TraceCategory::kTone)) {
     TraceRecord r{now, TraceCategory::kTone, id, {}};
@@ -87,6 +117,7 @@ void ToneChannel::set_tone(NodeId id, bool on) {
     tracer_->emit(std::move(r), [&] { return cat(name_, on ? " on" : " off"); });
   }
   if (edge_hook_) edge_hook_(id, on);
+  if (any_watcher_) notify_watchers(id);
 }
 
 void ToneChannel::fan_out_edge(NodeId id, const Source& s, SimTime when) {
@@ -128,19 +159,25 @@ void ToneChannel::set_remote_tone(NodeId id, bool on, SimTime when) {
     s.history.push_back(Interval{when, SimTime::max()});
     prune(s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
+    on_sources_.push_back(id);
     if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, when);
   } else {
+    std::erase(on_sources_, id);
     if (s.history.empty()) return;  // raise predates the phantom's attach
     s.history.back().off = when;
     prune(s);
+    last_off_ = std::max(last_off_, when);
   }
+  if (any_watcher_) notify_watchers(id);
 }
 
 void ToneChannel::set_suppressed(NodeId id, bool suppressed) {
   auto it = sources_.find(id);
   assert(it != sources_.end() && "set_suppressed on unattached node");
+  const bool changed = it->second.suppressed != suppressed;
   it->second.suppressed = suppressed;
   soa_.set_flag(id, NodeSoa::kFlagSuppressed, suppressed);
+  if (changed && any_watcher_) notify_watchers(id);
 }
 
 bool ToneChannel::suppressed(NodeId id) const noexcept {
@@ -185,6 +222,75 @@ bool ToneChannel::sensed_at(NodeId listener) const {
         return true;
       });
   return sensed;
+}
+
+ToneChannel::QuietSpan ToneChannel::quiet_span(NodeId listener) const {
+  const SimTime now = scheduler_.now();
+  const auto lit = sources_.find(listener);
+  if (lit == sources_.end()) return {now, SimTime::max()};
+  const Vec2 at = lit->second.mobility->position(now);
+  sync_soa(now);
+  // The windows [on + prop, off + prop) during which each audible source is
+  // sensed here — the same sweep, filters and arithmetic as sensed_at.
+  window_scratch_.clear();
+  soa_.for_each_in_disk<NodeSoa::kFlagActive>(
+      index_, at, params_.range_m, now, [&](std::uint32_t k, double d2) {
+        if (soa_.ids()[k] == listener) return;
+        if ((soa_.flags()[k] & NodeSoa::kFlagSuppressed) != 0) return;
+        const Source& s = *static_cast<const Source*>(soa_.payloads()[k]);
+        prune(s);
+        if (s.history.empty()) {
+          soa_.flags()[k] &= static_cast<std::uint8_t>(~NodeSoa::kFlagActive);
+          return;
+        }
+        const SimTime prop = params_.propagation_delay(std::sqrt(d2));
+        for (const Interval& iv : s.history) {
+          const SimTime end = iv.off == SimTime::max() ? SimTime::max() : iv.off + prop;
+          if (end > now) window_scratch_.push_back(QuietSpan{iv.on + prop, end});
+        }
+      });
+  // First instant not covered by any window, then the next window start.
+  SimTime from = now;
+  for (bool moved = true; moved && from != SimTime::max();) {
+    moved = false;
+    for (const QuietSpan& w : window_scratch_) {
+      if (w.from <= from && from < w.until) {
+        from = w.until;
+        moved = true;
+      }
+    }
+  }
+  SimTime until = SimTime::max();
+  for (const QuietSpan& w : window_scratch_) {
+    if (w.from > from) until = std::min(until, w.from);
+  }
+  const double speed = index_.max_speed();
+  if (speed > 0.0) {
+    // Geometry moves: stop before any tone source could cross the range
+    // boundary (or a source beyond the notification margin could arrive),
+    // and sample edges still propagating — their arrival time moves with
+    // the distance — at the instant itself.
+    SimTime horizon = now + SimTime::ns(1);
+    bool settled = std::isfinite(speed) &&
+                   now >= last_off_ + params_.propagation_delay(params_.range_m);
+    for (const QuietSpan& w : window_scratch_) {
+      if (w.from > now || w.until != SimTime::max()) settled = false;
+    }
+    if (settled) {
+      double gap = watch_margin_m();
+      for (const NodeId src : on_sources_) {
+        const Source& s = sources_.find(src)->second;
+        if (src == listener || s.suppressed) continue;
+        gap = std::min(gap, std::abs(std::sqrt(distance_sq(at, s.mobility->position(now))) -
+                                     params_.range_m));
+      }
+      const double seconds = std::min(gap / (2.0 * speed), 1e6);
+      horizon = std::max(horizon, now + SimTime::from_seconds(seconds) - SimTime::ns(1));
+    }
+    from = std::min(from, horizon);
+    until = std::min(until, horizon);
+  }
+  return {from, until};
 }
 
 bool ToneChannel::detected_in_window(NodeId listener, SimTime from, SimTime to) const {

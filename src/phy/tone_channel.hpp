@@ -31,6 +31,17 @@
 
 namespace rmacsim {
 
+// Receives a synchronous call whenever a tone edge or a suppression change
+// may have changed what ToneChannel::sensed_at reports at the watcher's
+// node (see ToneChannel::watch).
+class ToneWatcher {
+public:
+  virtual void on_tone_changed() = 0;
+
+protected:
+  ~ToneWatcher() = default;
+};
+
 class ToneChannel {
 public:
   ToneChannel(Scheduler& scheduler, const PhyParams& params, std::string name,
@@ -71,6 +82,24 @@ public:
   // `listener` right now (leading edge arrived, trailing edge not yet)?
   [[nodiscard]] bool sensed_at(NodeId listener) const;
 
+  // sensed_at(listener) as a function of future time t >= now, assuming no
+  // tone edge or suppression change from now on: true for t < from, false
+  // for from <= t < until, unknown from until on.  Without mobility the
+  // only limit is a later tone arrival; under mobility `until` also stops
+  // short of any range crossing and of edges still propagating.
+  struct QuietSpan {
+    SimTime from;
+    SimTime until;
+  };
+  [[nodiscard]] QuietSpan quiet_span(NodeId listener) const;
+
+  // Change notification for `listener` (one watcher per node, nullptr to
+  // remove): called inside set_tone / set_remote_tone / set_suppressed of
+  // any source within range — within range plus a margin under mobility, a
+  // margin quiet_span's horizon accounts for — including the listener's
+  // own tone.
+  void watch(NodeId listener, ToneWatcher* watcher);
+
   // Detection semantics: was a foreign tone present at `listener` for at
   // least the CCA time (lambda) within [from, to]?
   [[nodiscard]] bool detected_in_window(NodeId listener, SimTime from, SimTime to) const;
@@ -108,6 +137,7 @@ private:
     // mutable: const queries prune expired intervals as they walk sources,
     // so an idle source's history cannot linger past kHistoryKeep.
     mutable std::deque<Interval> history;
+    ToneWatcher* watcher{nullptr};
   };
 
   void prune(const Source& s) const;
@@ -133,6 +163,11 @@ private:
   // subscribers of `id`'s leading edge emitted at `when` (never earlier
   // than now for the scheduler).
   void fan_out_edge(NodeId id, const Source& s, SimTime when);
+  // Call the watchers within notification reach of `id`.
+  void notify_watchers(NodeId id);
+  // Extra notification radius under mobility; quiet_span's horizon never
+  // reaches past the time two nodes need to close it.
+  [[nodiscard]] double watch_margin_m() const noexcept { return params_.range_m; }
 
   std::unordered_map<NodeId, Source> sources_;
   std::unordered_map<NodeId, EdgeCallback> edge_subs_;
@@ -140,6 +175,11 @@ private:
   mutable SpatialIndex index_;
   mutable NodeSoa soa_;                             // packed mirror of index_
   std::vector<std::pair<NodeId, double>> scratch_;  // set_tone edge fan-out
+  std::vector<ToneWatcher*> watch_scratch_;         // notify_watchers
+  mutable std::vector<QuietSpan> window_scratch_;   // quiet_span: tone windows
+  std::vector<NodeId> on_sources_;  // sources whose tone is on (mobility horizon)
+  SimTime last_off_{SimTime::zero()};  // latest trailing edge of any source
+  bool any_watcher_{false};
   std::uint64_t raises_{0};
   std::uint64_t suppressed_raises_{0};
   SimTime on_time_total_{SimTime::zero()};

@@ -147,6 +147,7 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
       "rmacsim_mac_mrts_length_bytes", 0.0, kMrtsHistHi, kMrtsHistBins, proto,
       "MRTS wire lengths (receiver-list growth, Fig. 12)");
   for (const Node* n : nodes) {
+    n->mac->settle_stats();
     const MacStats& s = n->mac->stats();
     sum.reliable_requests += s.reliable_requests;
     sum.reliable_delivered += s.reliable_delivered;
@@ -164,6 +165,8 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
     }
     sum.state_transitions += s.state_transitions;
     sum.cw_escalations += s.cw_escalations;
+    sum.backoff_idle_slots += s.backoff_idle_slots;
+    sum.backoff_busy_slots += s.backoff_busy_slots;
     sum.mrts_transmissions += s.mrts_transmissions;
     sum.mrts_aborted += s.mrts_aborted;
     for (const double b : s.mrts_lengths_bytes) mrts_hist.add(b);
@@ -189,6 +192,14 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
       .set(sum.state_transitions);
   reg.counter("rmacsim_mac_cw_escalations_total", proto, "backoff-stage escalations")
       .set(sum.cw_escalations);
+  for (const auto& [outcome, count] : {std::pair{"idle", sum.backoff_idle_slots},
+                                       std::pair{"busy", sum.backoff_busy_slots}}) {
+    MetricLabels l = proto;
+    l.emplace_back("outcome", outcome);
+    reg.counter("rmacsim_mac_backoff_slots_total", std::move(l),
+                "backoff slot boundaries sampled, by channel outcome")
+        .set(count);
+  }
   reg.counter("rmacsim_mac_mrts_tx_total", proto, "MRTS transmissions attempted")
       .set(sum.mrts_transmissions);
   reg.counter("rmacsim_mac_mrts_aborted_total", proto, "MRTS aborted on RBT detection")

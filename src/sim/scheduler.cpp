@@ -27,17 +27,27 @@ std::uint32_t Scheduler::acquire_event_slot() {
   return slot;
 }
 
-EventId Scheduler::commit_event(SimTime at, std::uint32_t slot, bool bulk) {
-  assert(at >= now_ && "cannot schedule into the past");
-  const std::uint32_t generation = slots_[slot].generation;
-  const HeapNode node{at, next_seq_++, slot, generation};
-  if (tick_of(at) - cursor_tick_ < static_cast<std::int64_t>(kBucketCount)) {
+EventId Scheduler::commit_node(const HeapNode& node, bool bulk) {
+  assert(node.at >= now_ && "cannot schedule into the past");
+  if (tick_of(node.at) - cursor_tick_ < static_cast<std::int64_t>(kBucketCount)) {
     ring_insert(node);
   } else {
     heap_.push_back(node);
     if (!bulk) sift_up(heap_.size() - 1);
   }
-  return encode(slot, generation);
+  return encode(node.slot, node.generation);
+}
+
+void Scheduler::dispatch(const HeapNode& node) {
+  // Detach the callback and recycle the slot *before* running: the callback
+  // is free to schedule into (and reuse) its own slot — the runner moves the
+  // capture to the stack before any user code executes.
+  EventFn::Runner run = slots_[node.slot].fn.detach_runner();
+  release_slot(node.slot);
+  now_ = node.at;
+  current_ = EventKey{node.at, node.scheduled_at, node.seq};
+  ++executed_;
+  run();
 }
 
 EventId Scheduler::insert_event(SimTime at, EventFn fn, bool bulk) {
@@ -50,7 +60,7 @@ void Scheduler::ring_insert(const HeapNode& node) {
   std::int64_t tick = tick_of(node.at);
   // A tick behind the cursor is only reachable when the cursor ran ahead of
   // now() over tombstone-only buckets; folding the node into the active
-  // bucket keeps it executable, and the (at, seq) bucket sort still places
+  // bucket keeps it executable, and the bucket sort by key still places
   // it before everything later.
   if (tick < cursor_tick_) tick = cursor_tick_;
   const std::size_t idx = static_cast<std::size_t>(tick) & kBucketMask;
@@ -94,7 +104,7 @@ void Scheduler::collect_bucket(std::size_t idx) {
     c = ch.next;
   }
   // Far-heap events sharing the cursor tick merge ahead of the bucket sort,
-  // so the (at, seq) order is global even across the horizon boundary.
+  // so the key order is global even across the horizon boundary.
   while (!heap_.empty() && tick_of(heap_.front().at) == cursor_tick_) {
     active_.push_back(heap_.front());
     pop_heap_node();
@@ -211,34 +221,23 @@ bool Scheduler::position_next(SimTime limit) {
 
 bool Scheduler::execute_front() {
   const HeapNode node = active_[bucket_pos_++];
-  Slot& s = slots_[node.slot];
+  const Slot& s = slots_[node.slot];
   if (!s.active || s.generation != node.generation) return false;  // tombstone
-  // Detach the callback and recycle the slot *before* running: the callback
-  // is free to schedule into (and reuse) its own slot — the runner moves the
-  // capture to the stack before any user code executes.
-  EventFn::Runner run = s.fn.detach_runner();
-  release_slot(node.slot);
-  now_ = node.at;
-  ++executed_;
-  run();
+  dispatch(node);
   return true;
 }
 
 bool Scheduler::execute_heap_front() {
   const HeapNode node = heap_.front();
   pop_heap_node();
-  Slot& s = slots_[node.slot];
+  const Slot& s = slots_[node.slot];
   if (!s.active || s.generation != node.generation) return false;  // tombstone
-  EventFn::Runner run = s.fn.detach_runner();
-  release_slot(node.slot);
-  now_ = node.at;
-  ++executed_;
-  run();
+  dispatch(node);
   return true;
 }
 
 void Scheduler::sweep_bucket(SimTime limit) {
-  // Consume the active bucket in (at, seq) order without re-deriving the
+  // Consume the active bucket in key order without re-deriving the
   // global next event per entry.  All state lives in members and is re-read
   // every iteration, so callbacks may append to this bucket (re-collected
   // and re-sorted via the bucket_head_/bucket_sorted_ checks), cancel later
@@ -259,13 +258,9 @@ void Scheduler::sweep_bucket(SimTime limit) {
     const HeapNode node = active_[bucket_pos_];
     if (node.at > limit) return;
     ++bucket_pos_;
-    Slot& s = slots_[node.slot];
+    const Slot& s = slots_[node.slot];
     if (!s.active || s.generation != node.generation) continue;  // tombstone
-    EventFn::Runner run = s.fn.detach_runner();
-    release_slot(node.slot);
-    now_ = node.at;
-    ++executed_;
-    run();
+    dispatch(node);
   }
 }
 
@@ -355,6 +350,7 @@ void Scheduler::run_until(SimTime until) {
     }
   }
   if (now_ < until) now_ = until;
+  current_ = EventKey{now_, SimTime::max(), ~std::uint64_t{0}};
 }
 
 void Scheduler::run() {
@@ -367,6 +363,7 @@ void Scheduler::run() {
       execute_front();
     }
   }
+  current_ = EventKey{now_, SimTime::max(), ~std::uint64_t{0}};
 }
 
 }  // namespace rmacsim

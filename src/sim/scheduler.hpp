@@ -9,7 +9,7 @@
 // (kBucketCount ticks of 2^kBucketShiftBits ns each, ~8.4 ms — which covers
 // every propagation edge, frame airtime, and MAC timer the protocol stack
 // produces) go into a calendar ring: insertion is an O(1) append to the
-// bucket for the event's tick, and a bucket is sorted by (time, seq) once
+// bucket for the event's tick, and a bucket is sorted by its key once
 // when the cursor reaches it.  That replaces the per-event sift-up /
 // sift-down of a comparison heap with one small sort per bucket — the
 // dominant simulator pattern, a transmission fanning out to dozens of
@@ -36,9 +36,18 @@
 // current timestamp still run inside the tick (their seq is higher than
 // anything already consumed), and mid-bucket cancels of not-yet-run events
 // still take effect.
+//
+// The full ordering key is (time, scheduled-at, order).  An ordinary event's
+// scheduled-at is now() at its schedule call and its order is its seq; both
+// grow with every schedule call, so for ordinary events the key orders
+// exactly like (time, seq).  The extra field exists for schedule_keyed: a
+// caller that materializes an event lazily (the event-driven backoff
+// engine) can give it the key it would have had if it had been scheduled
+// earlier, at a time when the caller chose not to schedule anything.
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -51,6 +60,15 @@ namespace rmacsim {
 
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
+
+// Position of an event in the global execution order.
+struct EventKey {
+  SimTime at;
+  SimTime scheduled_at;
+  std::uint64_t order;
+
+  friend constexpr auto operator<=>(const EventKey&, const EventKey&) noexcept = default;
+};
 
 class Scheduler {
 public:
@@ -75,6 +93,42 @@ public:
   EventId schedule_in(SimTime delay, F&& f) {
     return emplace_event(now_ + delay, std::forward<F>(f), false);
   }
+
+  // Schedule `f` under an explicit key {at, scheduled_at, order}.  The key
+  // must sort after current_key() (the event cannot precede what already
+  // ran) and at must be >= now(); scheduled_at may lie in the past or the
+  // future.  `order` is either a value from take_order() or
+  // take_front_order(), or the order of an earlier keyed event being
+  // re-materialized.
+  template <typename F>
+  EventId schedule_keyed(SimTime at, SimTime scheduled_at, std::uint64_t order, F&& f) {
+    assert((EventKey{at, scheduled_at, order} > current_) && "keyed event precedes what ran");
+    const std::uint32_t slot = acquire_event_slot();
+    slots_[slot].fn.emplace(std::forward<F>(f));
+    return commit_node(HeapNode{at, scheduled_at, order, slot, slots_[slot].generation}, false);
+  }
+
+  // A fresh order value: greater than the order of every event scheduled so
+  // far, smaller than that of every later one — what a schedule call made
+  // right now would get.
+  [[nodiscard]] std::uint64_t take_order() noexcept { return next_seq_++; }
+  // An order value smaller than every take_order() value, past or future,
+  // and than every take_front_order() value handed out at an earlier now(),
+  // but larger than those handed out before it at the same now().
+  [[nodiscard]] std::uint64_t take_front_order() noexcept {
+    if (front_at_ != now_) {
+      front_at_ = now_;
+      front_base_ -= kFrontBlock;
+      front_used_ = 0;
+    }
+    assert(front_used_ < kFrontBlock && "front-order block exhausted at one instant");
+    return front_base_ + front_used_++;
+  }
+
+  // Key of the event being executed, or of the last one executed.  Between
+  // run_until(t) calls it is {t, max, max}: everything due at or before t
+  // has run.
+  [[nodiscard]] const EventKey& current_key() const noexcept { return current_; }
 
   // Bulk insertion: a BulkInsert appends far-horizon heap nodes without
   // per-insert sifting and restores the heap invariant once on destruction
@@ -166,14 +220,17 @@ private:
   // node wins, and stale nodes (generation mismatch) are skipped lazily.
   struct HeapNode {
     SimTime at;
-    std::uint64_t seq;
+    SimTime scheduled_at;
+    std::uint64_t seq;  // EventKey::order
     std::uint32_t slot;
     std::uint32_t generation;
   };
-  // Bucket storage unit: a cache-line-multiple block of nodes linked into a
-  // per-bucket list and recycled through chunk_free_.
+  // Bucket storage unit: a block of nodes linked into a per-bucket list and
+  // recycled through chunk_free_.  ~330 bytes, about five cache lines: a
+  // sparsely filled ring (one or two events per bucket) touches one chunk
+  // per bucket, so the chunk size sets its working set.
   struct Chunk {
-    static constexpr std::size_t kNodes = 14;
+    static constexpr std::size_t kNodes = 10;
     std::array<HeapNode, kNodes> nodes;
     std::uint32_t count;
     std::uint32_t next;
@@ -191,13 +248,13 @@ private:
     return static_cast<std::uint32_t>(id);
   }
 
-  [[nodiscard]] static bool later(const HeapNode& a, const HeapNode& b) noexcept {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;  // FIFO among equal timestamps
-  }
   [[nodiscard]] static bool earlier(const HeapNode& a, const HeapNode& b) noexcept {
     if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+    if (a.scheduled_at != b.scheduled_at) return a.scheduled_at < b.scheduled_at;
+    return a.seq < b.seq;  // FIFO among equal timestamps
+  }
+  [[nodiscard]] static bool later(const HeapNode& a, const HeapNode& b) noexcept {
+    return earlier(b, a);
   }
   [[nodiscard]] static constexpr std::int64_t tick_of(SimTime at) noexcept {
     return at.nanoseconds() >> kBucketShiftBits;
@@ -216,16 +273,21 @@ private:
     return commit_event(at, slot, bulk);
   }
   [[nodiscard]] std::uint32_t acquire_event_slot();
-  EventId commit_event(SimTime at, std::uint32_t slot, bool bulk);
+  EventId commit_event(SimTime at, std::uint32_t slot, bool bulk) {
+    return commit_node(HeapNode{at, now_, next_seq_++, slot, slots_[slot].generation}, bulk);
+  }
+  EventId commit_node(const HeapNode& node, bool bulk);
+  // Run the live node's callback (slot already checked active).
+  void dispatch(const HeapNode& node);
   void finish_bulk(std::size_t mark) noexcept;
   // Append `node` to its ring bucket (clamped to the cursor bucket if its
   // tick is behind the cursor — only possible after tombstone-only
-  // consumption, and the (at, seq) bucket sort restores the exact order).
+  // consumption, and the bucket sort by key restores the exact order).
   void ring_insert(const HeapNode& node);
   // Move the chunks of bucket `idx` (plus any far-heap nodes sharing the
   // cursor tick) into active_ and release them to the chunk free list.
   void collect_bucket(std::size_t idx);
-  // Position the wheel on the next node in global (at, seq) order; returns
+  // Position the wheel on the next node in global key order; returns
   // false if none exists with at <= limit.  On true, the node (possibly a
   // tombstone) is active_[bucket_pos_] — or the far-heap front when
   // serving_heap_ is set (a due tick with no ring content).
@@ -248,8 +310,18 @@ private:
   void drop_stale_tops() noexcept;
   void release_slot(std::uint32_t slot) noexcept;
 
+  // Ordinary seqs count up from the middle of the range; take_front_order()
+  // hands out one ascending block per distinct now() below it, each block
+  // below the previous one.
+  static constexpr std::uint64_t kSeqBase = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kFrontBlock = std::uint64_t{1} << 24;
+
   SimTime now_{SimTime::zero()};
-  std::uint64_t next_seq_{1};
+  std::uint64_t next_seq_{kSeqBase};
+  std::uint64_t front_base_{kSeqBase};
+  std::uint64_t front_used_{0};
+  SimTime front_at_{SimTime::max()};
+  EventKey current_{SimTime::zero(), SimTime::max(), ~std::uint64_t{0}};
   std::uint64_t executed_{0};
   std::uint64_t scheduled_{0};
   std::uint64_t cancelled_{0};

@@ -90,6 +90,9 @@ struct MacStats {
   std::array<std::uint64_t, kMacFrameKinds> frames_rx{};
   std::uint64_t state_transitions{0};  // MAC FSM edges taken
   std::uint64_t cw_escalations{0};     // backoff-stage doublings (802.11 family)
+  // Backoff slot boundaries sampled idle / busy (MacProtocol::settle_stats).
+  std::uint64_t backoff_idle_slots{0};
+  std::uint64_t backoff_busy_slots{0};
 
   // RMAC-specific (Figs. 12, 13).
   std::uint64_t mrts_transmissions{0};  // MRTS transmissions attempted

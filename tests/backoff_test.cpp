@@ -7,10 +7,20 @@ namespace {
 
 using namespace rmacsim::literals;
 
-class BackoffTest : public ::testing::Test {
+class BackoffTest : public ::testing::Test, private BackoffEngine::Channel {
 protected:
   BackoffTest() : engine_{sched_, 20_us, Rng{99}} {
-    engine_.set_callbacks([this] { return idle_; }, [this] { fired_at_ = sched_.now(); ++fires_; });
+    engine_.set_channel(*this, [this] { fired_at_ = sched_.now(); ++fires_; });
+  }
+
+  // The engine's inputs changed: flip the channel and notify it.
+  void set_idle(bool idle) {
+    idle_ = idle;
+    engine_.notify();
+  }
+  [[nodiscard]] BackoffEngine::Forecast backoff_forecast() const override {
+    return idle_ ? BackoffEngine::Forecast{SimTime::zero(), SimTime::max()}
+                 : BackoffEngine::Forecast{SimTime::max(), SimTime::max()};
   }
 
   Scheduler sched_;
@@ -52,11 +62,11 @@ TEST_F(BackoffTest, BusyChannelSuspendsCountdown) {
     engine_.draw(31);
   } while (engine_.bi() != 3);
   engine_.ensure_running(31);
-  idle_ = false;
+  set_idle(false);
   sched_.run_until(1_ms);
   EXPECT_EQ(fires_, 0);
   EXPECT_EQ(engine_.bi(), 3u);  // BI preserved during suspension
-  idle_ = true;
+  set_idle(true);
   sched_.run_until(2_ms);
   EXPECT_EQ(fires_, 1);
 }
@@ -126,11 +136,11 @@ TEST_F(BackoffTest, EnsureRunningIsIdempotentWhileTicking) {
 
 TEST_F(BackoffTest, BusyAtZeroBiWaitsForIdleSlot) {
   engine_.draw(0);
-  idle_ = false;
+  set_idle(false);
   engine_.ensure_running(31);
   sched_.run_until(500_us);
   EXPECT_EQ(fires_, 0);
-  idle_ = true;
+  set_idle(true);
   sched_.run_until(600_us);
   EXPECT_EQ(fires_, 1);
 }

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "scenario/experiment.hpp"
+#include "sim/json.hpp"
 #include "test_util.hpp"
 
 namespace rmacsim {
@@ -55,6 +57,83 @@ TEST(GoldenTrace, PaperScenarioDigestsAreStable) {
     EXPECT_EQ(r.trace_digest, g.digest)
         << to_string(g.proto) << " seed " << g.seed << ": actual digest 0x" << std::hex
         << r.trace_digest << " (update kGolden if the behaviour change is intentional)";
+  }
+}
+
+// Loaded scenarios: 20 pkt/s over 100 packets gives the 802.11 family its
+// same-slot collisions — countdowns of several nodes sharing a phase and
+// firing at one nanosecond, whose relative order these digests pin — and
+// the mobile RMAC cell exercises range changes under an active RBT.
+// Default warm-up and drain.
+struct LoadedGolden {
+  Protocol proto;
+  std::uint64_t seed;
+  double rate_pps;
+  std::uint32_t packets;
+  MobilityScenario mobility;
+  std::uint64_t digest;
+};
+
+constexpr LoadedGolden kLoadedGolden[] = {
+    {Protocol::kBmmm, 1, 20.0, 100, MobilityScenario::kStationary, 0xbea3f586cf0a5dac},
+    {Protocol::kDcf, 9, 20.0, 100, MobilityScenario::kStationary, 0xe63eb970cbd6a191},
+    {Protocol::kBmw, 1, 20.0, 100, MobilityScenario::kStationary, 0xc8db62d0a5b7cd21},
+    {Protocol::kMx, 9, 20.0, 100, MobilityScenario::kStationary, 0xf33b1a3cd44a09bf},
+    {Protocol::kRmac, 8, 120.0, 40, MobilityScenario::kSpeed1, 0xb07b9d099bea66a4},
+};
+
+TEST(GoldenTrace, LoadedScenarioDigestsAreStable) {
+  for (const LoadedGolden& g : kLoadedGolden) {
+    SCOPED_TRACE(test::seed_trace(g.seed));
+    ExperimentConfig c;
+    c.protocol = g.proto;
+    c.seed = g.seed;
+    c.rate_pps = g.rate_pps;
+    c.num_packets = g.packets;
+    c.mobility = g.mobility;
+    c.trace_digest = true;
+    const ExperimentResult r = run_experiment(c);
+    EXPECT_EQ(r.trace_digest, g.digest)
+        << to_string(g.proto) << " seed " << g.seed << ": actual digest 0x" << std::hex
+        << r.trace_digest;
+  }
+}
+
+// Backoff slot accounting on the golden configs: the samples the
+// event-driven engine counts arithmetically equal the ticks the per-slot
+// polling engine executed on the same runs.
+TEST(GoldenTrace, BackoffSlotCountsMatchPollingTicks) {
+  struct Slots {
+    Protocol proto;
+    std::uint64_t seed;
+    std::uint64_t idle;
+    std::uint64_t busy;
+  };
+  constexpr Slots kSlots[] = {
+      {Protocol::kRmac, kGoldenSeed1, 94'963, 24'070},
+      {Protocol::kRmac, kGoldenSeed2, 95'423, 24'394},
+      {Protocol::kBmmm, kGoldenSeed1, 185'888, 60'478},
+      {Protocol::kDcf, kGoldenSeed1, 181'611, 29'039},
+      {Protocol::kBmw, kGoldenSeed1, 195'608, 77'076},
+      {Protocol::kMx, kGoldenSeed1, 183'805, 33'611},
+      {Protocol::kLamm, kGoldenSeed1, 188'672, 52'291},
+  };
+  for (const Slots& g : kSlots) {
+    SCOPED_TRACE(test::seed_trace(g.seed));
+    ExperimentConfig c = golden_config(g.proto, g.seed);
+    c.metrics.enabled = true;
+    c.metrics.keep_json = true;
+    c.metrics.out_dir.clear();
+    const ExperimentResult r = run_experiment(c);
+    const JsonValue doc = JsonValue::parse(r.metrics.json);
+    std::uint64_t idle = 0, busy = 0;
+    for (const JsonValue& series :
+         doc.at("metrics").at("rmacsim_mac_backoff_slots_total").at("series").array()) {
+      const std::string& outcome = series.at("labels").at("outcome").as_string();
+      (outcome == "idle" ? idle : busy) = series.at("value").as_u64();
+    }
+    EXPECT_EQ(idle, g.idle) << to_string(g.proto);
+    EXPECT_EQ(busy, g.busy) << to_string(g.proto);
   }
 }
 

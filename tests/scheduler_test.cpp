@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -352,6 +356,132 @@ TEST(Scheduler, PendingCountTracksLiveEvents) {
   EXPECT_EQ(s.pending_count(), 1u);
   s.run();
   EXPECT_EQ(s.pending_count(), 0u);
+}
+
+// --- Ordering keys -----------------------------------------------------------
+
+// Randomized schedule / cancel / BulkInsert / same-time churn, issued from
+// inside running events, against a reference priority queue ordered by
+// (time, schedule-call number): the order a global queue keyed by (at, seq)
+// produces.  Times span the ring and the far heap.
+TEST(SchedulerKeys, RandomChurnRunsInReferenceQueueOrder) {
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "per-event");
+    Scheduler s;
+    s.set_batch_dispatch(batched);
+    std::map<std::pair<SimTime, std::uint64_t>, int> model;  // (at, call#) -> token
+    std::map<int, std::pair<EventId, std::pair<SimTime, std::uint64_t>>> live;
+    std::uint64_t calls = 0;
+    int next_token = 0;
+    std::vector<int> fired;
+    std::vector<int> expected;
+    std::uint64_t x = 0x0123456789abcdefULL;
+    auto rnd = [&x] {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      return x >> 33;
+    };
+    std::function<void(int)> body;
+    auto delay = [&] {
+      switch (rnd() % 4) {
+        case 0: return SimTime::zero();                                        // same time
+        case 1: return SimTime::ns(static_cast<std::int64_t>(rnd() % 4096));  // same bucket
+        case 2: return SimTime::us(static_cast<std::int64_t>(rnd() % 8000));  // ring
+        default: return SimTime::ms(static_cast<std::int64_t>(9 + rnd() % 40));  // far heap
+      }
+    };
+    auto add = [&](SimTime at, EventId id, int token) {
+      const std::pair<SimTime, std::uint64_t> key{at, calls++};
+      model.emplace(key, token);
+      live.emplace(token, std::pair{id, key});
+    };
+    auto schedule_one = [&](SimTime at) {
+      const int token = next_token++;
+      add(at, s.schedule_at(at, [&body, token] { body(token); }), token);
+    };
+    body = [&](int token) {
+      fired.push_back(token);
+      ASSERT_FALSE(model.empty());
+      expected.push_back(model.begin()->second);
+      model.erase(model.begin());
+      live.erase(token);
+      if (next_token > 6'000) return;
+      const std::uint64_t n = rnd() % 4;
+      for (std::uint64_t i = 0; i < n; ++i) schedule_one(s.now() + delay());
+      if (rnd() % 5 == 0) {
+        Scheduler::BulkInsert bulk{s};
+        for (std::uint64_t i = 0, m = 1 + rnd() % 6; i < m; ++i) {
+          const int tk = next_token++;
+          const SimTime at = s.now() + delay();
+          add(at, bulk.at(at, [&body, tk] { body(tk); }), tk);
+        }
+      }
+      if (!live.empty() && rnd() % 3 == 0) {
+        auto it = live.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rnd() % live.size()));
+        EXPECT_TRUE(s.cancel(it->second.first));
+        model.erase(it->second.second);
+        live.erase(it);
+      }
+    };
+    for (int i = 0; i < 50; ++i) {
+      schedule_one(SimTime::us(static_cast<std::int64_t>(rnd() % 100)));
+    }
+    s.run();
+    EXPECT_EQ(fired, expected);
+    EXPECT_TRUE(model.empty());
+    EXPECT_GT(fired.size(), 5'000u);
+  }
+}
+
+// schedule_keyed places an event by {at, scheduled_at, order}, whatever the
+// moment of the call: before ordinary events scheduled later, after those
+// scheduled earlier, and by order among equal scheduled-at times — in the
+// ring and in the far heap, batched or not, and mid-tick at now().
+TEST(SchedulerKeys, KeyedInsertLandsWhereSpecified) {
+  for (const SimTime t : {5_ms, 50_ms}) {  // ring horizon is ~8.4 ms
+    for (const bool batched : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "t=" << t << (batched ? " batched" : " per-event"));
+      Scheduler s;
+      s.set_batch_dispatch(batched);
+      std::vector<std::string> order;
+      auto mark = [&order](const char* name) {
+        return [&order, name] { order.emplace_back(name); };
+      };
+      s.schedule_at(t, [&] {
+        order.emplace_back("E0");
+        // Mid-tick: ahead of E3, which was scheduled after t - 20 us.
+        s.schedule_keyed(t, t - 20_us, s.take_order(), mark("Know"));
+      });
+      s.schedule_at(1_ms, [&] { s.schedule_at(t, mark("E1")); });
+      s.schedule_at(2_ms, [&] { s.schedule_at(t, mark("E2")); });
+      s.schedule_at(t - 10_us, [&] { s.schedule_at(t, mark("E3")); });
+      s.schedule_keyed(t, 1_ms, s.take_front_order(), mark("Kfront"));  // before E1
+      s.schedule_keyed(t, 1500_us, s.take_order(), mark("Kmid"));       // E1 < Kmid < E2
+      s.schedule_keyed(t, 3_ms, s.take_order(), mark("Klate"));         // after E2
+      s.schedule_keyed(t + 1_ns, SimTime::zero(), s.take_front_order(), mark("Knext"));
+      s.run();
+      EXPECT_EQ(order, (std::vector<std::string>{"E0", "Kfront", "E1", "Kmid", "E2", "Klate",
+                                                 "Know", "E3", "Knext"}));
+    }
+  }
+}
+
+TEST(SchedulerKeys, CurrentKeyTracksDispatchAndRunUntil) {
+  Scheduler s;
+  EventKey seen{};
+  const std::uint64_t order = s.take_order();
+  s.schedule_keyed(40_us, 20_us, order, [&] { seen = s.current_key(); });
+  s.run_until(30_us);
+  EXPECT_EQ(s.current_key(), (EventKey{30_us, SimTime::max(), ~std::uint64_t{0}}));
+  s.run_until(50_us);
+  EXPECT_EQ(seen, (EventKey{40_us, 20_us, order}));
+  // Front orders: one block per instant, each below every earlier one.
+  const std::uint64_t a = s.take_front_order();
+  const std::uint64_t b = s.take_front_order();
+  EXPECT_LT(a, b);
+  EXPECT_LT(b, order);
+  s.run_until(60_us);
+  EXPECT_LT(s.take_front_order(), a);
 }
 
 }  // namespace

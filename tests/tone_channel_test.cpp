@@ -259,6 +259,90 @@ TEST_F(ToneTest, DetachRemovesSource) {
 }
 
 
+// quiet_span forecasts sensed_at from now on, assuming no further edge:
+// sensed before `from`, quiet on [from, until).  Sources at 60 m, 30 m and
+// 45 m (200, 100 and 150 ns away) overlap, so the windows chain and a raise
+// still in flight bounds the forecast.
+TEST_F(ToneTest, QuietSpanForecastsSensedAtUntilTheNextEdge) {
+  add(0, {0, 0});  // listener
+  add(1, {60, 0});
+  add(2, {-30, 0});
+  add(3, {0, 45});
+  struct Edge {
+    SimTime at;
+    NodeId id;
+    bool on;
+  };
+  const Edge edges[] = {{1_us, 1, true},     {1050_ns, 2, true},  {3_us, 1, false},
+                        {3100_ns, 2, false}, {5_us, 3, true},     {5100_ns, 3, false},
+                        {8_us, 0, true}};
+  std::vector<ToneChannel::QuietSpan> spans;
+  for (std::size_t i = 0; i + 1 < std::size(edges); ++i) {
+    sched_.run_until(edges[i].at);
+    chan_.set_tone(edges[i].id, edges[i].on);
+    const ToneChannel::QuietSpan q = chan_.quiet_span(0);
+    spans.push_back(q);
+    for (SimTime t = edges[i].at; t < edges[i + 1].at && t < q.until; t += 25_ns) {
+      sched_.run_until(t);
+      EXPECT_EQ(chan_.sensed_at(0), t < q.from) << "edge " << i << " t " << t;
+    }
+  }
+  // Raise of 2 in flight while 1 is not yet heard: quiet until it lands.
+  EXPECT_EQ(spans[1].from, 1050_ns);
+  EXPECT_EQ(spans[1].until, 1150_ns);
+  // Both trailing edges land at 3.2 us; nothing else is coming.
+  EXPECT_EQ(spans[3].from, 3200_ns);
+  EXPECT_EQ(spans[3].until, SimTime::max());
+  // A 100 ns burst still in flight: quiet now, unknown from its arrival.
+  EXPECT_EQ(spans[5].from, 5100_ns);
+  EXPECT_EQ(spans[5].until, 5150_ns);
+}
+
+TEST_F(ToneTest, QuietSpanStopsShortOfARangeCrossingUnderMobility) {
+  add(0, {0, 0});
+  // 30 m away until 10 s, then walking out at 17 m/s: it leaves range
+  // (75 m) at ~12.65 s.
+  ScriptedMobility walker{{
+      {SimTime::zero(), {30.0, 0.0}},
+      {10_s, {30.0, 0.0}},
+      {20_s, {200.0, 0.0}},
+  }};
+  chan_.attach(1, walker);
+  chan_.set_tone(1, true);
+  sched_.run_until(5_s);
+  ASSERT_TRUE(chan_.sensed_at(0));
+  const ToneChannel::QuietSpan q = chan_.quiet_span(0);
+  EXPECT_GT(q.from, 5_s);         // sensed for a while yet...
+  EXPECT_EQ(q.from, q.until);     // ...and nothing vouched for after that
+  EXPECT_LT(q.until, 12650_ms);   // before the source could leave range
+}
+
+// Watchers hear every edge that may change what they sense, their own
+// tone included, and nothing from beyond range.
+TEST_F(ToneTest, WatchersHearInRangeEdgesOnly) {
+  struct Counter final : ToneWatcher {
+    int calls{0};
+    void on_tone_changed() override { ++calls; }
+  };
+  add(0, {0, 0});
+  add(1, {60, 0});
+  add(2, {200, 0});
+  Counter w;
+  chan_.watch(0, &w);
+  chan_.set_tone(1, true);
+  chan_.set_tone(1, false);
+  EXPECT_EQ(w.calls, 2);
+  chan_.set_tone(2, true);  // out of range
+  EXPECT_EQ(w.calls, 2);
+  chan_.set_tone(0, true);  // own tone
+  EXPECT_EQ(w.calls, 3);
+  chan_.set_suppressed(1, true);
+  EXPECT_EQ(w.calls, 4);
+  chan_.watch(0, nullptr);
+  chan_.set_tone(1, true);
+  EXPECT_EQ(w.calls, 4);
+}
+
 TEST_F(ToneTest, MobileSourceLeavesSensingRange) {
   // A tone stays on while its source walks out of range: sensed_at follows
   // the geometry at query time.
