@@ -19,7 +19,7 @@
 #include "phy/node_soa.hpp"
 #include "phy/tone_channel.hpp"
 #include "scenario/experiment.hpp"
-#include "scenario/sharded_network.hpp"
+#include "scenario/network_builder.hpp"
 #include "sim/scheduler.hpp"
 
 // Counting replacement for the global allocator, backing the steady-state
@@ -555,7 +555,7 @@ void BM_ShardedSmallExperiment(benchmark::State& state) {
   const SimTime end = SimTime::from_seconds(2.0 + 2.0 / 10.0 + 1.0);
   for (auto _ : state) {
     state.PauseTiming();
-    auto net = std::make_unique<ShardedNetwork>(cfg);
+    auto net = std::make_unique<Network>(cfg);
     state.ResumeTiming();
     net->start_routing();
     net->run_until(warmup);
@@ -605,7 +605,7 @@ void BM_ShardedTelemetryExperiment(benchmark::State& state) {
   const SimTime end = SimTime::from_seconds(2.0 + 2.0 / 10.0 + 1.0);
   for (auto _ : state) {
     state.PauseTiming();
-    auto net = std::make_unique<ShardedNetwork>(cfg);
+    auto net = std::make_unique<Network>(cfg);
     net->enable_window_telemetry();
     state.ResumeTiming();
     net->start_routing();
@@ -660,7 +660,7 @@ void BM_Sharded100kExperiment(benchmark::State& state) {
   const SimTime end = SimTime::from_seconds(2.0 + 2.0 / 10.0 + 1.0);
   for (auto _ : state) {
     state.PauseTiming();
-    auto net = std::make_unique<ShardedNetwork>(cfg);
+    auto net = std::make_unique<Network>(cfg);
     state.ResumeTiming();
     net->start_routing();
     net->run_until(warmup);

@@ -65,7 +65,7 @@ struct LedgerSummary {
 };
 
 // The mutators are virtual for exactly one subclass: the sharded engine's
-// per-shard buffer (scenario/sharded_network.*), which records the calls and
+// per-shard buffer (scenario/network_builder.cpp), which records the calls and
 // replays them into a master ledger in deterministic merge order at the end
 // of the run.  The dispatch sits on per-packet (not per-event) paths.
 class LossLedger {

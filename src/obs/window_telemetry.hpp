@@ -34,7 +34,7 @@ namespace rmacsim {
 
 class WindowTelemetry {
 public:
-  // Cross-shard message kinds; order mirrors ShardedNetwork's Msg::Kind.
+  // Cross-shard message kinds; order mirrors Network's Msg::Kind.
   static constexpr std::size_t kMsgKinds = 4;
   [[nodiscard]] static const char* msg_kind_name(std::size_t kind) noexcept;
 

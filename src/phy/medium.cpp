@@ -124,6 +124,43 @@ void Medium::maybe_recycle(TxHandle h) noexcept {
   free_slots_.push_back(slot_index(h));
 }
 
+void Medium::group_receptions(Transmission& t) {
+  // Group receptions by propagation delay: each distinct arrival tick gets
+  // one shared begin event and one shared end event.  The (prop, id) sort
+  // keeps equal-prop runs contiguous *and* in ascending NodeId order, which
+  // is exactly the firing order the old per-receiver events had (ids were
+  // assigned seqs in id order), so the trace is bit-identical.  Leading and
+  // trailing edges can never collide on a tick: airtime carries a fixed
+  // >= 96 us phy overhead while in-range propagation is ~1 us at most.
+  if (grouped_delivery_ && t.receptions.size() > 1) {
+    // Permute via 16-byte (prop, index) keys: receptions were pushed in
+    // ascending-id order, so index order *is* id order and the key sort
+    // reproduces the (prop, id) order exactly; one gather pass then moves
+    // each 48-byte record once instead of O(n log n) times.
+    order_keys_.clear();
+    for (std::uint32_t i = 0; i < t.receptions.size(); ++i) {
+      order_keys_.emplace_back(t.receptions[i].prop, i);
+    }
+    std::sort(order_keys_.begin(), order_keys_.end());
+    reception_scratch_.clear();
+    reception_scratch_.reserve(t.receptions.size());
+    for (const auto& [prop, idx] : order_keys_) {
+      reception_scratch_.push_back(t.receptions[idx]);
+    }
+    t.receptions.swap(reception_scratch_);
+  }
+  t.groups.clear();
+  const std::uint32_t n = static_cast<std::uint32_t>(t.receptions.size());
+  for (std::uint32_t first = 0; first < n;) {
+    std::uint32_t last = first + 1;
+    if (grouped_delivery_) {
+      while (last < n && t.receptions[last].prop == t.receptions[first].prop) ++last;
+    }
+    t.groups.push_back(DeliveryGroup{t.receptions[first].prop, first, last, kInvalidEvent});
+    first = last;
+  }
+}
+
 SimTime Medium::begin_transmission(Radio& tx, FramePtr frame) {
   RMAC_PROF_SCOPE("phy.begin_transmission");
   assert(tx.medium_tx_handle() == 0 && "radio already has a transmission in flight");
@@ -183,40 +220,7 @@ SimTime Medium::begin_transmission(Radio& tx, FramePtr frame) {
     t.receptions.push_back(Reception{rx, sig, dist, prop, c.id, deliver_ok});
   }
 
-  // Group receptions by propagation delay: each distinct arrival tick gets
-  // one shared begin event and one shared end event.  The (prop, id) sort
-  // keeps equal-prop runs contiguous *and* in ascending NodeId order, which
-  // is exactly the firing order the old per-receiver events had (ids were
-  // assigned seqs in id order), so the trace is bit-identical.  Leading and
-  // trailing edges can never collide on a tick: airtime carries a fixed
-  // >= 96 us phy overhead while in-range propagation is ~1 us at most.
-  if (grouped_delivery_ && t.receptions.size() > 1) {
-    // Permute via 16-byte (prop, index) keys: receptions were pushed in
-    // ascending-id order, so index order *is* id order and the key sort
-    // reproduces the (prop, id) order exactly; one gather pass then moves
-    // each 48-byte record once instead of O(n log n) times.
-    order_keys_.clear();
-    for (std::uint32_t i = 0; i < t.receptions.size(); ++i) {
-      order_keys_.emplace_back(t.receptions[i].prop, i);
-    }
-    std::sort(order_keys_.begin(), order_keys_.end());
-    reception_scratch_.clear();
-    reception_scratch_.reserve(t.receptions.size());
-    for (const auto& [prop, idx] : order_keys_) {
-      reception_scratch_.push_back(t.receptions[idx]);
-    }
-    t.receptions.swap(reception_scratch_);
-  }
-  t.groups.clear();
-  const std::uint32_t n = static_cast<std::uint32_t>(t.receptions.size());
-  for (std::uint32_t first = 0; first < n;) {
-    std::uint32_t last = first + 1;
-    if (grouped_delivery_) {
-      while (last < n && t.receptions[last].prop == t.receptions[first].prop) ++last;
-    }
-    t.groups.push_back(DeliveryGroup{t.receptions[first].prop, first, last, kInvalidEvent});
-    first = last;
-  }
+  group_receptions(t);
   // All begin groups first, then all end groups, then the done bookkeeping
   // event: within a tick the scheduler runs seq order, and this matches the
   // old begin-before-end interleaving for the prop == 0 edge case.  The
@@ -301,29 +305,7 @@ Medium::TxHandle Medium::begin_remote_transmission(FramePtr frame, Vec2 origin,
     return 0;
   }
 
-  if (grouped_delivery_ && t.receptions.size() > 1) {
-    order_keys_.clear();
-    for (std::uint32_t i = 0; i < t.receptions.size(); ++i) {
-      order_keys_.emplace_back(t.receptions[i].prop, i);
-    }
-    std::sort(order_keys_.begin(), order_keys_.end());
-    reception_scratch_.clear();
-    reception_scratch_.reserve(t.receptions.size());
-    for (const auto& [prop, idx] : order_keys_) {
-      reception_scratch_.push_back(t.receptions[idx]);
-    }
-    t.receptions.swap(reception_scratch_);
-  }
-  t.groups.clear();
-  const std::uint32_t n = static_cast<std::uint32_t>(t.receptions.size());
-  for (std::uint32_t first = 0; first < n;) {
-    std::uint32_t last = first + 1;
-    if (grouped_delivery_) {
-      while (last < n && t.receptions[last].prop == t.receptions[first].prop) ++last;
-    }
-    t.groups.push_back(DeliveryGroup{t.receptions[first].prop, first, last, kInvalidEvent});
-    first = last;
-  }
+  group_receptions(t);
   // No done event: the mirror is logically finished at creation and recycles
   // once the last scheduled edge fires.  Begin edges clamp to now(); trailing
   // edges land at the true signal end, which the skip test above guarantees

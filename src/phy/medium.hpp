@@ -55,7 +55,7 @@ public:
   // {slot+1, generation} packed like the scheduler's EventId; 0 is invalid.
   using TxHandle = std::uint64_t;
 
-  // Cross-shard seam (scenario/sharded_network.*): every locally originated
+  // Cross-shard seam (scenario/network_builder.cpp): every locally originated
   // transmission begin/abort is reported so mirrors can be scheduled in
   // neighbouring shards.  The key is the transmission's handle — unique for
   // the lifetime of the mirror thanks to the slot generation counter.
@@ -231,6 +231,10 @@ private:
   // Cancel a group's pending trailing edge and replace it with a truncation
   // edge at the leading-edge time (abort / transmitter detach).
   void truncate_groups(TxHandle h, Transmission& t);
+  // Permute t.receptions from ascending-id into (prop, id) order and split
+  // them into equal-prop delivery groups (singletons with grouped delivery
+  // off).  Shared by local transmissions and remote mirrors.
+  void group_receptions(Transmission& t);
   // Fill scratch_ with the radios within `radius` of `origin` (ascending
   // NodeId, exact positions at `now`, excluding `exclude`).
   void collect_candidates(Vec2 origin, double radius, SimTime now, const Radio* exclude) const;

@@ -56,7 +56,7 @@ public:
   void set_tone(NodeId id, bool on);
   [[nodiscard]] bool my_tone_on(NodeId id) const noexcept;
 
-  // Cross-shard seam (scenario/sharded_network.*): invoked on every local
+  // Cross-shard seam (scenario/network_builder.cpp): invoked on every local
   // tone transition (never on set_remote_tone), so the engine can forward
   // the edge to neighbouring shards as a typed message.
   using EdgeHook = std::function<void(NodeId source, bool on)>;

@@ -30,18 +30,13 @@ struct ExperimentConfig {
   MacParams mac{};
   bool rbt_protection{true};
   ForwardStrategy strategy{ForwardStrategy::kTree};
-  // Hot-path mechanics toggles (tests only): batched same-timestamp event
-  // dispatch in the scheduler and shared-event delivery groups in the
-  // medium.  Both default on; turning either off must not change any trace
-  // digest — the batch_dispatch equivalence tests prove exactly that.
-  bool batched_dispatch{true};
-  bool grouped_delivery{true};
 
-  // Spatial sharding (docs/parallel.md).  shards > 1 runs the conservative
-  // parallel engine (run_experiment dispatches to run_sharded_experiment);
-  // shards == 1 executes the exact single-threaded code path, bit for bit.
-  // shard_threads is a request (0 = one worker per shard, clamped to the
-  // shard count); results depend only on the shard count, never on threads.
+  // Spatial sharding (docs/parallel.md).  shards == 1 runs the network as
+  // one undivided world — none of the sharding machinery is built, and no
+  // shard-only output is produced; shards > 1 cuts it into spatial shards
+  // run by the conservative parallel engine.  shard_threads is a request
+  // (0 = one worker per shard, clamped to the shard count); results depend
+  // only on the shard count, never on threads.
   unsigned shards{1};
   unsigned shard_threads{0};
   // Window-width floor passed to the engine: windows are max(tau, floor).
@@ -79,7 +74,7 @@ struct ExperimentConfig {
     SimTime sample_period{SimTime::ms(10)};
     std::size_t timeseries_capacity{8192};
     bool track_hellos{false};
-    // Window/barrier telemetry on the sharded engine (no-op at shards == 1):
+    // Window/barrier telemetry above one shard (no-op at shards == 1):
     // per-barrier spans, per-shard load, per-worker execute/stall wall time,
     // cross-shard message mix.  Also enabled implicitly by obs.record,
     // metrics.enabled, or a progress heartbeat at shards > 1; this flag turns
@@ -95,8 +90,8 @@ struct ExperimentConfig {
   ObsConfig obs;
 
   // Live progress heartbeat: when interval_s > 0 the run emits one
-  // RunProgress snapshot roughly every interval (wall clock) from both the
-  // monolithic and sharded drivers.  The default sink prints one JSON line
+  // RunProgress snapshot roughly every interval (wall clock) at any shard
+  // count.  The default sink prints one JSON line
   // (format_progress_json) to stderr; campaign orchestrators install their
   // own.  Pure wall-clock throttling — event order and digests never move.
   struct RunProgress {
@@ -106,9 +101,9 @@ struct ExperimentConfig {
     double wall_s{0.0};     // wall time since the run started
     std::uint64_t events{0};
     double events_per_s{0.0};   // overall rate since run start
-    std::uint64_t windows{0};   // sharded engine barriers (0 monolithic)
+    std::uint64_t windows{0};   // window barriers (0 at one shard)
     double windows_per_s{0.0};
-    std::uint64_t messages{0};  // cross-shard messages so far (0 monolithic)
+    std::uint64_t messages{0};  // cross-shard messages so far (0 at one shard)
     double imbalance{0.0};      // current busy-basis imbalance (0 if unknown)
     double eta_s{0.0};          // projected remaining wall time (0 if unknown)
   };
@@ -221,7 +216,7 @@ struct ExperimentResult {
   // carry the same multiset of records — the mobile-exactness test hook.
   std::uint64_t trace_digest_xsum{0};
 
-  // Populated when config.shards > 1 (zeros on the serial path).
+  // Populated when the run had more than one shard (zeros at one shard).
   struct ShardSummary {
     unsigned shards{0};
     unsigned threads{0};              // effective worker count
@@ -265,7 +260,7 @@ struct ExperimentResult {
     std::string journeys_jsonl;
     std::string timeseries_csv;
     std::string manifest_json;
-    std::string telemetry_json;   // sharded runs with window telemetry only
+    std::string telemetry_json;   // runs above one shard with window telemetry only
   };
   ObsSummary obs;
 };

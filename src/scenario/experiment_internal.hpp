@@ -1,58 +1,16 @@
-// Implementation detail shared by the serial (experiment.cpp) and sharded
-// (sharded_experiment.cpp) experiment drivers: the per-node metric math that
-// must be byte-for-byte the same in both, expressed over a node list in
-// global id order so the engine layout cannot change any figure.
+// Implementation detail of run_experiment that tools driving a Network
+// directly also need: the end-of-run ledger sweep.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
 #include <span>
 
-#include "scenario/experiment.hpp"
+#include "metrics/loss_ledger.hpp"
 #include "scenario/node.hpp"
 
 namespace rmacsim {
 
-// Wall-clock-throttled progress heartbeat shared by both drivers.  Emission
-// only reads counters already maintained by the run (between events on the
-// monolithic path, at barriers on the sharded one), so it can never move
-// simulation state or digests.
-class ProgressEmitter {
-public:
-  ProgressEmitter(const ExperimentConfig& config, double end_s);
-
-  [[nodiscard]] bool enabled() const noexcept { return interval_s_ > 0.0; }
-
-  // Emit a snapshot if the configured interval elapsed since the last one
-  // (or unconditionally with force).  windows/messages/imbalance are zero on
-  // the monolithic path.
-  void maybe_emit(const char* phase, double sim_s, std::uint64_t events,
-                  std::uint64_t windows, std::uint64_t messages, double imbalance,
-                  bool force = false);
-
-private:
-  double interval_s_;
-  double end_s_;
-  std::function<void(const ExperimentConfig::RunProgress&)> sink_;
-  std::chrono::steady_clock::time_point start_;
-  std::chrono::steady_clock::time_point last_;
-};
-
-// §4.1.1 tree statistics, sampled at the end of warm-up.
-void sample_tree_stats(std::span<Node* const> nodes, SampleStats& hops,
-                       SampleStats& children);
-
-// Figs. 8, 10-13 + mac_believed_success: everything on ExperimentResult that
-// derives from per-node MacStats.  `nodes` must be in global id order.
-void fill_node_metrics(ExperimentResult& r, const ExperimentConfig& config,
-                       std::span<Node* const> nodes);
-
 // End-of-run ledger sweep: reliable work still queued or in service when the
 // clock stops is kEndOfRun, not a leak.
 void sweep_pending_reliable(std::span<Node* const> nodes, LossLedger& ledger);
-
-// The sharded counterpart of run_experiment; run_experiment dispatches here
-// when config.shards > 1.  Callers use run_experiment.
-[[nodiscard]] ExperimentResult run_sharded_experiment(const ExperimentConfig& config);
 
 }  // namespace rmacsim

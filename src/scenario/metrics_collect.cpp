@@ -8,7 +8,6 @@
 #include "obs/window_telemetry.hpp"
 #include "phy/frame.hpp"
 #include "phy/frame_pool.hpp"
-#include "scenario/sharded_network.hpp"
 
 namespace rmacsim {
 
@@ -22,9 +21,9 @@ constexpr std::size_t kMrtsHistBins = 32;
 constexpr double kDelayHistHi = 2.0;
 constexpr std::size_t kDelayHistBins = 40;
 
-// One simulation world: the monolithic network, or one shard.  The collect
-// pass aggregates across worlds — counters summed, peaks maxed — so both
-// engines publish the same series.
+// One shard's simulation world.  The collect pass aggregates across worlds —
+// counters summed, peaks maxed — so every shard count publishes the same
+// series.
 struct WorldRefs {
   const Scheduler* sched;
   const Medium* medium;
@@ -94,8 +93,8 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
   reg.counter("rmacsim_phy_rx_total", {{"outcome", "corrupt"}}, "").set(mc.rx_corrupt);
   reg.counter("rmacsim_phy_rx_total", {{"outcome", "half_duplex"}}, "")
       .set(mc.rx_half_duplex);
-  // Remote-mirror counters only exist on the sharded engine; zero-skip keeps
-  // the monolithic snapshot identical to what it always was.
+  // Remote-mirror counters only move above one shard; zero-skip keeps the
+  // one-shard snapshot free of them.
   if (remote_mirrors != 0) {
     reg.counter("rmacsim_phy_remote_mirrors_total", {},
                 "cross-shard transmissions mirrored into a destination shard")
@@ -285,21 +284,10 @@ void collect_delivery(MetricsRegistry& reg,
 }  // namespace
 
 void collect_metrics(MetricsRegistry& reg, Network& net) {
-  const WorldRefs world{&net.scheduler(), &net.medium(), &net.rbt(), &net.abt()};
-  collect_phy(reg, {&world, 1});
-  std::vector<Node*> nodes;
-  nodes.reserve(net.nodes().size());
-  for (Node& n : net.nodes()) nodes.push_back(&n);
-  collect_nodes(reg, net.config().protocol, nodes);
-  const DeliveryStats* delivery = &net.delivery();
-  collect_delivery(reg, {&delivery, 1});
-}
-
-void collect_metrics(MetricsRegistry& reg, ShardedNetwork& net) {
   std::vector<WorldRefs> worlds;
   std::vector<const DeliveryStats*> delivery;
   for (std::size_t s = 0; s < net.shard_count(); ++s) {
-    ShardedNetwork::Shard& sh = net.shard(s);
+    Network::Shard& sh = net.shard(s);
     worlds.push_back(WorldRefs{&sh.scheduler, sh.medium.get(), sh.rbt.get(), sh.abt.get()});
     delivery.push_back(&sh.delivery);
   }
@@ -309,6 +297,7 @@ void collect_metrics(MetricsRegistry& reg, ShardedNetwork& net) {
   for (NodeId id = 0; id < net.config().num_nodes; ++id) nodes.push_back(&net.node(id));
   collect_nodes(reg, net.config().protocol, nodes);
   collect_delivery(reg, delivery);
+  if (net.shard_count() == 1) return;
 
   // Sharded-engine series.
   reg.gauge("rmacsim_shard_count", {}, "spatial shards")

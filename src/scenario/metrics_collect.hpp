@@ -13,17 +13,13 @@
 
 namespace rmacsim {
 
-// Snapshot every subsystem of `net` into `reg`.  Deterministic for a fixed
-// seed: series contents derive only from simulation state, and zero-valued
+// Snapshot every subsystem of `net` into `reg`, aggregated across shards
+// (counters summed, peaks maxed, delay samples pooled in shard order), plus
+// the rmacsim_shard_* engine series above one shard.  Deterministic for a
+// fixed (seed, shards): series contents derive only from simulation state,
+// aggregation order is shard order, never thread order, and zero-valued
 // frame/drop-reason series are skipped the same way on every run.
 void collect_metrics(MetricsRegistry& reg, Network& net);
-
-// Sharded counterpart: the same series, aggregated across shards (counters
-// summed, peaks maxed, delay samples pooled in shard order) plus the
-// rmacsim_shard_* engine series.  Deterministic for a fixed (seed, shards):
-// aggregation order is shard order, never thread order.
-class ShardedNetwork;
-void collect_metrics(MetricsRegistry& reg, ShardedNetwork& net);
 
 // Publish a finalized ledger summary (expected / delivered / dropped-by-
 // reason) so the OpenMetrics text carries the conservation breakdown too,

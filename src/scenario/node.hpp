@@ -22,7 +22,7 @@ struct Node {
   std::unique_ptr<MacProtocol> mac;
   // Devirtualized radio->MAC front door (mac_dispatch.hpp); owns nothing.
   // unique_ptr for address stability: the radio holds the listener pointer
-  // across Node moves into Network::nodes_.
+  // across Node moves into its shard's node vector.
   std::unique_ptr<MacDispatch> dispatch;
   std::unique_ptr<BlessTree> tree;
   std::unique_ptr<MulticastApp> app;

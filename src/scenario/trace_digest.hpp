@@ -1,8 +1,8 @@
 // Order-sensitive FNV-1a over the machine-readable part of a trace stream.
 // Message strings are excluded, so cosmetic format changes leave golden
 // digests alone while any behavioural change (event order, timing, frame
-// contents) shifts them.  Shared by the serial experiment driver (one digest
-// per run) and the sharded driver (one per shard, folded in shard order).
+// contents) shifts them.  run_experiment keeps one per shard; above one
+// shard the per-shard values are folded in shard order.
 // A commutative companion (xsum) hashes each record independently and sums,
 // so streams that carry the same records in different order — serial vs
 // sharded — can still be compared for physical equality.
@@ -44,8 +44,8 @@ public:
     xsum_ += rh;  // wrapping, order-independent
   }
 
-  // Fold a raw value — the sharded driver combines per-shard digests with
-  // this, in shard order.
+  // Fold a raw value — run_experiment combines per-shard digests with this,
+  // in shard order, above one shard.
   void feed_value(std::uint64_t v) noexcept { mix(h_, v); }
 
   [[nodiscard]] std::uint64_t value() const noexcept { return h_; }

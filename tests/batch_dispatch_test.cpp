@@ -3,47 +3,73 @@
 // Batched same-timestamp event dispatch (Scheduler::set_batch_dispatch) and
 // shared-event delivery groups (Medium::set_grouped_delivery) are pure
 // scheduling mechanics: they change how events reach the heap, never what
-// runs or in what order.  These tests pin that claim with full-experiment
-// trace digests — every combination of the two toggles must produce a
+// runs or in what order.  These tests pin that claim with full-run trace
+// digests — every combination of the two toggles must produce a
 // bit-identical structured trace, for tone-based and 802.11-family
 // protocols alike, in the stationary and the mobile (grid-rebuilding, SoA
-// resyncing) scenarios.
+// resyncing) scenarios.  The toggles exist only on Scheduler and Medium, so
+// each run builds a Network and drives it directly.
 #include <gtest/gtest.h>
 
-#include "scenario/experiment.hpp"
+#include "scenario/network_builder.hpp"
+#include "scenario/trace_digest.hpp"
 
 namespace rmacsim {
 namespace {
 
-ExperimentConfig small_config(Protocol proto, std::uint64_t seed) {
-  ExperimentConfig c;
-  c.protocol = proto;
-  c.seed = seed;
-  c.num_nodes = 20;
-  c.area = Rect{250.0, 250.0};
-  c.rate_pps = 20.0;
-  c.num_packets = 5;
-  c.warmup = SimTime::sec(10);
-  c.drain = SimTime::sec(2);
-  c.trace_digest = true;
-  return c;
+struct RunSpec {
+  NetworkConfig net;
+  SimTime warmup;
+  SimTime end;
+};
+
+RunSpec small_spec(Protocol proto, std::uint64_t seed) {
+  RunSpec r;
+  r.net.protocol = proto;
+  r.net.seed = seed;
+  r.net.num_nodes = 20;
+  r.net.area = Rect{250.0, 250.0};
+  r.net.app.rate_pps = 20.0;
+  r.net.app.total_packets = 5;
+  r.warmup = SimTime::sec(10);
+  r.end = r.warmup + SimTime::from_seconds(5.0 / 20.0) + SimTime::sec(2);
+  return r;
+}
+
+struct Outcome {
+  std::uint64_t digest;
+  std::uint64_t delivered;
+};
+
+// Warm up, start the source, run to the end — the run_experiment flow —
+// folding the same trace categories run_experiment's digest does.
+Outcome run(const RunSpec& spec, bool batched, bool grouped) {
+  Network net{spec.net};
+  net.scheduler().set_batch_dispatch(batched);
+  net.medium().set_grouped_delivery(grouped);
+  TraceDigest digest;
+  (void)net.tracer().add_sink([&digest](const TraceRecord& rec) { digest.feed(rec); },
+                              Tracer::bit(TraceCategory::kPhy) |
+                                  Tracer::bit(TraceCategory::kTone),
+                              /*needs_message=*/false);
+  net.start_routing();
+  net.run_until(spec.warmup);
+  net.start_source();
+  net.run_until(spec.end);
+  return Outcome{digest.value(), net.delivery().delivered_receptions()};
 }
 
 TEST(BatchDispatch, AllToggleCombinationsAreBitIdentical) {
   for (const Protocol proto : {Protocol::kRmac, Protocol::kDcf, Protocol::kBmmm}) {
-    ExperimentConfig ref_cfg = small_config(proto, 7);
-    ref_cfg.batched_dispatch = false;  // the pre-optimization per-event path
-    ref_cfg.grouped_delivery = false;
-    const ExperimentResult ref = run_experiment(ref_cfg);
-    ASSERT_NE(ref.trace_digest, 0u);
+    const RunSpec spec = small_spec(proto, 7);
+    // The pre-optimization per-event, ungrouped path is the reference.
+    const Outcome ref = run(spec, /*batched=*/false, /*grouped=*/false);
+    ASSERT_NE(ref.digest, 0u);
     for (const bool batched : {false, true}) {
       for (const bool grouped : {false, true}) {
         if (!batched && !grouped) continue;
-        ExperimentConfig cfg = small_config(proto, 7);
-        cfg.batched_dispatch = batched;
-        cfg.grouped_delivery = grouped;
-        const ExperimentResult r = run_experiment(cfg);
-        EXPECT_EQ(r.trace_digest, ref.trace_digest)
+        const Outcome r = run(spec, batched, grouped);
+        EXPECT_EQ(r.digest, ref.digest)
             << to_string(proto) << " batched=" << batched << " grouped=" << grouped;
         EXPECT_EQ(r.delivered, ref.delivered);
       }
@@ -54,35 +80,28 @@ TEST(BatchDispatch, AllToggleCombinationsAreBitIdentical) {
 TEST(BatchDispatch, MobileScenarioStaysBitIdentical) {
   // Random-waypoint mobility forces grid rebuilds and SoA resyncs mid-run;
   // the moving-entry exact-position recompute path must not diverge.
-  ExperimentConfig ref_cfg = small_config(Protocol::kRmac, 11);
-  ref_cfg.mobility = MobilityScenario::kSpeed1;
-  ref_cfg.batched_dispatch = false;
-  ref_cfg.grouped_delivery = false;
-  const ExperimentResult ref = run_experiment(ref_cfg);
-  ExperimentConfig cfg = small_config(Protocol::kRmac, 11);
-  cfg.mobility = MobilityScenario::kSpeed1;
-  const ExperimentResult r = run_experiment(cfg);
-  EXPECT_EQ(r.trace_digest, ref.trace_digest);
+  RunSpec spec = small_spec(Protocol::kRmac, 11);
+  spec.net.mobility = MobilityScenario::kSpeed1;
+  const Outcome ref = run(spec, false, false);
+  const Outcome r = run(spec, true, true);
+  EXPECT_EQ(r.digest, ref.digest);
 }
 
 TEST(BatchDispatch, PaperScenarioMatchesPerEventPath) {
   // The 75-node paper scenario whose digest the golden tests pin: the
   // per-event, ungrouped replay must land on the same digest the batched
-  // default produced (which golden_trace_test already checks against the
-  // pinned constant).
-  ExperimentConfig c;  // defaults: 75 nodes, 500x300 m
-  c.protocol = Protocol::kRmac;
-  c.seed = 1;
-  c.rate_pps = 10.0;
-  c.num_packets = 5;
-  c.warmup = SimTime::sec(15);
-  c.drain = SimTime::sec(5);
-  c.trace_digest = true;
-  const ExperimentResult batched = run_experiment(c);
-  c.batched_dispatch = false;
-  c.grouped_delivery = false;
-  const ExperimentResult per_event = run_experiment(c);
-  EXPECT_EQ(batched.trace_digest, per_event.trace_digest);
+  // default produces (which golden_trace_test checks against the pinned
+  // constant).
+  RunSpec spec;  // defaults: 75 nodes, 500x300 m
+  spec.net.protocol = Protocol::kRmac;
+  spec.net.seed = 1;
+  spec.net.app.rate_pps = 10.0;
+  spec.net.app.total_packets = 5;
+  spec.warmup = SimTime::sec(15);
+  spec.end = spec.warmup + SimTime::from_seconds(5.0 / 10.0) + SimTime::sec(5);
+  const Outcome batched = run(spec, true, true);
+  const Outcome per_event = run(spec, false, false);
+  EXPECT_EQ(batched.digest, per_event.digest);
 }
 
 }  // namespace

@@ -137,8 +137,8 @@ TEST(Determinism, ShardMatrixIsThreadAndRepeatInvariantForEveryProtocol) {
 }
 
 TEST(Determinism, ShardedMatchesSerialLedgerAndDeliveryTotalsAtOneShard) {
-  // shards=1 must be the exact monolithic code path: the dispatch happens
-  // before any sharded machinery is built.
+  // shards=1 builds none of the sharded machinery, so it must reproduce the
+  // default config exactly and leave the shard summary empty.
   for (const Protocol p : {Protocol::kRmac, Protocol::kDcf}) {
     ExperimentConfig serial = small_config(p, MobilityScenario::kStationary);
     serial.trace_digest = true;

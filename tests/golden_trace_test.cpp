@@ -63,7 +63,9 @@ TEST(GoldenTrace, PaperScenarioDigestsAreStable) {
 // Loaded scenarios: 20 pkt/s over 100 packets gives the 802.11 family its
 // same-slot collisions — countdowns of several nodes sharing a phase and
 // firing at one nanosecond, whose relative order these digests pin — and
-// the mobile RMAC cell exercises range changes under an active RBT.
+// the mobile RMAC cell exercises range changes under an active RBT.  The
+// lossy-channel cell (bit_error_rate > 0) pins the medium's BER draws, which
+// come from the unforked medium stream at one shard.
 // Default warm-up and drain.
 struct LoadedGolden {
   Protocol proto;
@@ -72,6 +74,7 @@ struct LoadedGolden {
   std::uint32_t packets;
   MobilityScenario mobility;
   std::uint64_t digest;
+  double bit_error_rate{0.0};
 };
 
 constexpr LoadedGolden kLoadedGolden[] = {
@@ -80,6 +83,7 @@ constexpr LoadedGolden kLoadedGolden[] = {
     {Protocol::kBmw, 1, 20.0, 100, MobilityScenario::kStationary, 0xc8db62d0a5b7cd21},
     {Protocol::kMx, 9, 20.0, 100, MobilityScenario::kStationary, 0xf33b1a3cd44a09bf},
     {Protocol::kRmac, 8, 120.0, 40, MobilityScenario::kSpeed1, 0xb07b9d099bea66a4},
+    {Protocol::kRmac, 1, 20.0, 20, MobilityScenario::kStationary, 0x30f0e68a38c0e5bf, 1e-5},
 };
 
 TEST(GoldenTrace, LoadedScenarioDigestsAreStable) {
@@ -91,6 +95,7 @@ TEST(GoldenTrace, LoadedScenarioDigestsAreStable) {
     c.rate_pps = g.rate_pps;
     c.num_packets = g.packets;
     c.mobility = g.mobility;
+    c.phy.bit_error_rate = g.bit_error_rate;
     c.trace_digest = true;
     const ExperimentResult r = run_experiment(c);
     EXPECT_EQ(r.trace_digest, g.digest)

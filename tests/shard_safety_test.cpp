@@ -15,7 +15,6 @@
 
 #include "scenario/experiment.hpp"
 #include "scenario/network_builder.hpp"
-#include "scenario/sharded_network.hpp"
 
 namespace rmacsim {
 namespace {
@@ -232,7 +231,7 @@ TEST(ShardSafety, BoundaryReceiversDecodeByteIdenticalFrames) {
   std::vector<RxRecord> sharded_rx;
   std::vector<NodeId> boundary_receivers;
   {
-    ShardedNetwork net{sharded_cfg};
+    Network net{sharded_cfg};
     ASSERT_EQ(net.shard_count(), 2u);
     for (std::size_t s = 0; s < net.shard_count(); ++s) {
       collect_rx(net.shard(s).tracer, sharded_rx);

@@ -16,6 +16,7 @@
 
 #include "obs/window_telemetry.hpp"
 #include "scenario/experiment.hpp"
+#include "sim/json.hpp"
 
 namespace rmacsim {
 namespace {
@@ -243,6 +244,42 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   const std::string manifest = slurp(r.obs.manifest_json);
   EXPECT_NE(manifest.find("\"imbalance_busy\""), std::string::npos);
   EXPECT_NE(manifest.find("\"windows_recorded\""), std::string::npos);
+}
+
+TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
+  // A one-shard run is the plain serial engine: no ShardSummary, no
+  // rmacsim_shard_* series, no shard* manifest keys.  Two shards carry all
+  // three.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const bool sharded = shards > 1;
+    ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, shards, 1);
+    c.obs.record = true;
+    c.obs.out_dir = testing::TempDir() + "shard_only_" + std::to_string(shards);
+    c.obs.prefix = "so";
+    c.metrics.enabled = true;
+    c.metrics.keep_json = true;
+    c.metrics.out_dir.clear();
+    const ExperimentResult r = run_experiment(c);
+
+    EXPECT_EQ(r.shard.shards, sharded ? shards : 0u);
+
+    const JsonValue metrics = JsonValue::parse(r.metrics.json);
+    ASSERT_TRUE(metrics.at("metrics").is_object());
+    bool shard_series = false;
+    for (const auto& [family, value] : metrics.at("metrics").object()) {
+      if (family.rfind("rmacsim_shard_", 0) == 0) shard_series = true;
+    }
+    EXPECT_EQ(shard_series, sharded);
+
+    const JsonValue manifest = JsonValue::parse(slurp(r.obs.manifest_json));
+    ASSERT_TRUE(manifest.is_object());
+    bool shard_keys = false;
+    for (const auto& [key, value] : manifest.object()) {
+      if (key.rfind("shard", 0) == 0) shard_keys = true;
+    }
+    EXPECT_EQ(shard_keys, sharded);
+  }
 }
 
 TEST(WindowTelemetryExport, TelemetryOffLeavesSummaryAndPathsEmpty) {
