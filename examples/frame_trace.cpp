@@ -61,7 +61,7 @@ void print_post_mortem(const Journey& j) {
 
 int main() {
   Tracer tracer;
-  tracer.set_sink([](const TraceRecord& r) {
+  tracer.add_sink([](const TraceRecord& r) {
     std::printf("[%9.2f us] %-9s node %c  %s\n", r.at.to_us(),
                 std::string(to_string(r.category)).c_str(), node_name(r.node),
                 r.message.c_str());

@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/worker.hpp"
@@ -241,7 +242,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("running %s...\n", c.label().c_str());
-  const ExperimentResult r = run_experiment(c);
+  ExperimentResult r;
+  try {
+    r = run_experiment(c);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("\n%-28s %s\n", "experiment", c.label().c_str());
   std::printf("%-28s %llu nodes, %u packets @ %.0f/s\n", "workload",

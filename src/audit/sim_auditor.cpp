@@ -129,7 +129,9 @@ void SimAuditor::on_record(const TraceRecord& rec) {
     case TraceEvent::kFrameRx: on_frame_rx(rec); break;
     case TraceEvent::kToneOn: on_tone(rec, true); break;
     case TraceEvent::kToneOff: on_tone(rec, false); break;
-    case TraceEvent::kGeneric: break;
+    case TraceEvent::kGeneric:
+    case TraceEvent::kMacState:  // MAC/app categories: not subscribed
+    case TraceEvent::kDeliver: break;
   }
 }
 
@@ -397,8 +399,8 @@ void SimAuditor::check_clean_delivery(NodeId r, const TraceRecord& rec) {
     if (seq >= cut_seq) break;  // ascending; the rest fall in the main scan
     if (overlaps(txs_[seq - tx_seq_base_])) return;
   }
-  for (auto it = cut; it != txs_.end(); ++it) {
-    if (overlaps(*it)) return;
+  for (auto tx = cut; tx != txs_.end(); ++tx) {
+    if (overlaps(*tx)) return;
   }
 }
 

@@ -108,7 +108,13 @@ bool parse_campaign_spec(const JsonValue& doc, CampaignSpec& out, std::string* e
       return set_error(error, cat("spec: unknown strategy ", v->as_string()));
     }
   }
-  if (base.num_nodes < 2) return set_error(error, "spec: nodes must be >= 2");
+  for (const double rate : spec.rates) {
+    ExperimentConfig cell = base;
+    cell.rate_pps = rate;
+    if (const std::string why = config_error(cell); !why.empty()) {
+      return set_error(error, cat("spec: ", why));
+    }
+  }
 
   out = std::move(spec);
   return true;

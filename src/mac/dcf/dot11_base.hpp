@@ -19,10 +19,6 @@ public:
   [[nodiscard]] NodeId id() const noexcept override { return radio_.id(); }
   void settle_stats() override;
 
-  // The devirtualized front door (mac/mac_dispatch.hpp) forwards the radio
-  // events straight to the protected listener overrides below.
-  friend class MacDispatch;
-
 protected:
   Dot11Base(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params, Tracer* tracer);
   ~Dot11Base() override;

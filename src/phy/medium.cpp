@@ -132,7 +132,7 @@ void Medium::group_receptions(Transmission& t) {
   // assigned seqs in id order), so the trace is bit-identical.  Leading and
   // trailing edges can never collide on a tick: airtime carries a fixed
   // >= 96 us phy overhead while in-range propagation is ~1 us at most.
-  if (grouped_delivery_ && t.receptions.size() > 1) {
+  if (t.receptions.size() > 1) {
     // Permute via 16-byte (prop, index) keys: receptions were pushed in
     // ascending-id order, so index order *is* id order and the key sort
     // reproduces the (prop, id) order exactly; one gather pass then moves
@@ -153,9 +153,7 @@ void Medium::group_receptions(Transmission& t) {
   const std::uint32_t n = static_cast<std::uint32_t>(t.receptions.size());
   for (std::uint32_t first = 0; first < n;) {
     std::uint32_t last = first + 1;
-    if (grouped_delivery_) {
-      while (last < n && t.receptions[last].prop == t.receptions[first].prop) ++last;
-    }
+    while (last < n && t.receptions[last].prop == t.receptions[first].prop) ++last;
     t.groups.push_back(DeliveryGroup{t.receptions[first].prop, first, last, kInvalidEvent});
     first = last;
   }

@@ -18,9 +18,7 @@
 // quantized topologies) share one scheduled begin event and one end event
 // instead of N heap pushes each.  Within a group receivers fire in
 // ascending NodeId order, which is exactly the seq order the per-receiver
-// events had, so grouping is invisible to the golden trace digests;
-// set_grouped_delivery(false) forces singleton groups for the equivalence
-// tests.
+// events had, so grouping is invisible to the golden trace digests.
 //
 // Transmission/reception records live in a slab pool (generation-checked
 // handles, mirroring the scheduler's event slab): begin/abort_transmission
@@ -113,12 +111,6 @@ public:
   void abort_remote_transmission(TxHandle h, SimTime at);
   [[nodiscard]] std::uint64_t remote_mirrored() const noexcept { return remote_mirrored_; }
   [[nodiscard]] std::uint64_t remote_clamped() const noexcept { return remote_clamped_; }
-
-  // Equal-propagation receptions share one begin/end event pair (default).
-  // Off = one group per reception; the equivalence tests prove both modes
-  // produce bit-identical traces.
-  void set_grouped_delivery(bool on) noexcept { grouped_delivery_ = on; }
-  [[nodiscard]] bool grouped_delivery() const noexcept { return grouped_delivery_; }
 
   // Counters for diagnostics.
   [[nodiscard]] std::uint64_t transmissions_started() const noexcept { return tx_started_; }
@@ -232,8 +224,8 @@ private:
   // edge at the leading-edge time (abort / transmitter detach).
   void truncate_groups(TxHandle h, Transmission& t);
   // Permute t.receptions from ascending-id into (prop, id) order and split
-  // them into equal-prop delivery groups (singletons with grouped delivery
-  // off).  Shared by local transmissions and remote mirrors.
+  // them into equal-prop delivery groups.  Shared by local transmissions and
+  // remote mirrors.
   void group_receptions(Transmission& t);
   // Fill scratch_ with the radios within `radius` of `origin` (ascending
   // NodeId, exact positions at `now`, excluding `exclude`).
@@ -254,7 +246,6 @@ private:
   // sorting the 48-byte Reception records in place.
   std::vector<std::pair<SimTime, std::uint32_t>> order_keys_;
   std::vector<Reception> reception_scratch_;
-  bool grouped_delivery_{true};
   // deque: slot references stay valid while a MAC callback re-enters
   // begin_transmission and grows the pool.
   std::deque<Transmission> slots_;

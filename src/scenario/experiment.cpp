@@ -25,11 +25,13 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "audit/sim_auditor.hpp"
 #include "metrics/export.hpp"
@@ -216,7 +218,17 @@ std::string format_progress_json(const ExperimentConfig::RunProgress& p) {
   return os.str();
 }
 
+std::string config_error(const ExperimentConfig& config) {
+  if (config.num_nodes < 2) return cat("nodes must be >= 2 (got ", config.num_nodes, ")");
+  if (!std::isfinite(config.rate_pps) || config.rate_pps <= 0.0) {
+    return cat("rate must be a finite number of packets/s > 0 (got ", config.rate_pps, ")");
+  }
+  if (config.num_packets < 1) return "packets must be >= 1 (got 0)";
+  return {};
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
+  if (std::string why = config_error(config); !why.empty()) throw std::invalid_argument(why);
   NetworkConfig net_cfg;
   net_cfg.num_nodes = config.num_nodes;
   net_cfg.area = config.area;

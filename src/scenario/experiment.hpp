@@ -265,6 +265,13 @@ struct ExperimentResult {
   ObsSummary obs;
 };
 
+// Why `config` cannot run, or "" when it can: the workload needs at least
+// two nodes (a source and a receiver), a finite source rate above zero, and
+// at least one packet (MulticastApp would read 0 as unlimited).
+[[nodiscard]] std::string config_error(const ExperimentConfig& config);
+
+// Throws std::invalid_argument with config_error()'s text for a config that
+// cannot run.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // One-line JSON rendering of a progress snapshot (the default heartbeat

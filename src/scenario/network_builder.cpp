@@ -17,6 +17,7 @@
 #include "mac/dcf/dcf_protocol.hpp"
 #include "mac/lamm/lamm_protocol.hpp"
 #include "mac/mx/mx_protocol.hpp"
+#include "mac/rmac/rmac_protocol.hpp"
 #include "obs/window_telemetry.hpp"
 #include "sim/window_exec.hpp"
 
@@ -199,61 +200,40 @@ Node build_node_stack(const NetworkConfig& config, NodeId i, Vec2 pos, Rng node_
   env.rbt.attach(i, *n.mobility);
   env.abt.attach(i, *n.mobility);
 
+  // Each protocol constructor registers itself as the radio's listener and
+  // its destructor clears the registration.
   Rng mac_rng = node_rng.fork(Rng::hash_label("mac"));
-  n.dispatch = std::make_unique<MacDispatch>();
   switch (config.protocol) {
     case Protocol::kRmac: {
       RmacProtocol::Params p;
       p.mac = config.mac;
       p.rbt_protection = config.rbt_protection;
-      auto mac = std::make_unique<RmacProtocol>(env.scheduler, *n.radio, env.rbt, env.abt,
-                                                mac_rng, p, env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+      n.mac = std::make_unique<RmacProtocol>(env.scheduler, *n.radio, env.rbt, env.abt, mac_rng,
+                                             p, env.tracer);
       break;
     }
-    case Protocol::kBmmm: {
-      auto mac = std::make_unique<BmmmProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
-                                                env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+    case Protocol::kBmmm:
+      n.mac = std::make_unique<BmmmProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
+                                             env.tracer);
       break;
-    }
-    case Protocol::kDcf: {
-      auto mac = std::make_unique<DcfProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
-                                               env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+    case Protocol::kDcf:
+      n.mac = std::make_unique<DcfProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
+                                            env.tracer);
       break;
-    }
-    case Protocol::kBmw: {
-      auto mac = std::make_unique<BmwProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
-                                               env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+    case Protocol::kBmw:
+      n.mac = std::make_unique<BmwProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
+                                            env.tracer);
       break;
-    }
-    case Protocol::kMx: {
+    case Protocol::kMx:
       // MX reuses the two tone channels as its CTS/NAK tones.
-      auto mac = std::make_unique<MxProtocol>(env.scheduler, *n.radio, env.rbt, env.abt,
-                                              mac_rng, config.mac, env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+      n.mac = std::make_unique<MxProtocol>(env.scheduler, *n.radio, env.rbt, env.abt, mac_rng,
+                                           config.mac, env.tracer);
       break;
-    }
-    case Protocol::kLamm: {
-      auto mac = std::make_unique<LammProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
-                                                env.tracer);
-      n.dispatch->bind(*mac);
-      n.mac = std::move(mac);
+    case Protocol::kLamm:
+      n.mac = std::make_unique<LammProtocol>(env.scheduler, *n.radio, mac_rng, config.mac,
+                                             env.tracer);
       break;
-    }
   }
-  // The protocol constructor registered itself as the radio listener;
-  // repoint the radio at the devirtualized front door.  The protocol
-  // destructor still clears the registration at teardown, so the dispatch
-  // (destroyed after `mac`) never dangles.
-  n.radio->set_listener(n.dispatch.get());
 
   n.tree = std::make_unique<BlessTree>(env.scheduler, *n.mac, config.root, config.bless,
                                        node_rng.fork(Rng::hash_label("bless")));

@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "mac/mac_dispatch.hpp"
 #include "mac/mac_protocol.hpp"
 #include "mobility/mobility.hpp"
 #include "net/multicast_app.hpp"
@@ -20,10 +19,6 @@ struct Node {
   std::unique_ptr<MobilityModel> mobility;
   std::unique_ptr<Radio> radio;
   std::unique_ptr<MacProtocol> mac;
-  // Devirtualized radio->MAC front door (mac_dispatch.hpp); owns nothing.
-  // unique_ptr for address stability: the radio holds the listener pointer
-  // across Node moves into its shard's node vector.
-  std::unique_ptr<MacDispatch> dispatch;
   std::unique_ptr<BlessTree> tree;
   std::unique_ptr<MulticastApp> app;
 };

@@ -343,10 +343,8 @@ void Scheduler::run_until(SimTime until) {
   while (position_next(until)) {
     if (serving_heap_) {
       execute_heap_front();
-    } else if (batch_dispatch_) {
-      sweep_bucket(until);
     } else {
-      execute_front();
+      sweep_bucket(until);
     }
   }
   if (now_ < until) now_ = until;
@@ -357,10 +355,8 @@ void Scheduler::run() {
   while (position_next(SimTime::max())) {
     if (serving_heap_) {
       execute_heap_front();
-    } else if (batch_dispatch_) {
-      sweep_bucket(SimTime::max());
     } else {
-      execute_front();
+      sweep_bucket(SimTime::max());
     }
   }
   current_ = EventKey{now_, SimTime::max(), ~std::uint64_t{0}};

@@ -181,14 +181,10 @@ public:
   void run();
 
   // Execute at most one event; returns false if the queue was empty.
+  // run()/run_until() sweep each due bucket in a tight loop instead of
+  // re-deriving the global next event per entry; step() is the per-event
+  // path, and the tests use it as the reference order for the sweep.
   bool step();
-
-  // Batched bucket drain in run()/run_until() (default on): the due bucket
-  // is swept in a tight loop instead of re-deriving the global next event
-  // per entry.  The toggle exists so tests can prove batched and per-event
-  // execution are bit-identical; there is no semantic reason to turn it off.
-  void set_batch_dispatch(bool on) noexcept { batch_dispatch_ = on; }
-  [[nodiscard]] bool batch_dispatch() const noexcept { return batch_dispatch_; }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t pending_count() const noexcept { return live_; }
@@ -347,7 +343,6 @@ private:
   bool serving_heap_{false};      // position_next parked on the far heap
   // Far-horizon overflow heap (4-ary).
   std::vector<HeapNode> heap_;
-  bool batch_dispatch_{true};
 };
 
 }  // namespace rmacsim

@@ -95,34 +95,24 @@ class Tracer {
   // One bit per TraceCategory enumerator (kPhy .. kApp).
   static constexpr CategoryMask kAllCategories = (CategoryMask{1} << 6) - 1;
 
-  // Legacy single-sink interface: owns the dedicated slot 0, so tests that
-  // call set_sink repeatedly replace their own sink without disturbing
-  // long-lived subscribers (e.g. an attached auditor).  Subscribes to every
-  // category with messages rendered — the pre-mask behaviour.
-  void set_sink(Sink sink) {
-    remove_sink(kPrimarySink);
-    if (sink) add_entry(kPrimarySink, kAllCategories, /*needs_message=*/true, std::move(sink));
-  }
-  void clear_sink() { remove_sink(kPrimarySink); }
-
-  // Multi-sink interface.  `categories` selects which records the sink
-  // receives; a sink that only reads the structured fields passes
-  // needs_message=false so hot emit sites can skip string formatting
-  // entirely when nobody else wants the text.
+  // `categories` selects which records the sink receives; a sink that only
+  // reads the structured fields passes needs_message=false so hot emit sites
+  // can skip string formatting entirely when nobody else wants the text.
   SinkId add_sink(Sink sink, CategoryMask categories = kAllCategories,
                   bool needs_message = true) {
     const SinkId id = next_id_++;
-    add_entry(id, categories, needs_message, std::move(sink));
+    sinks_.push_back(Entry{id, categories, needs_message, std::move(sink)});
+    recompute_masks();
     return id;
   }
-  // Safe to call from inside a sink callback during emit: the entry is
-  // tombstoned (never invoked again, including for the record currently being
-  // dispatched to later sinks) and physically erased once dispatch unwinds.
+  // Safe to call from inside a sink callback during emit, the sink itself
+  // included: the entry is tombstoned (never invoked again, including for the
+  // record currently being dispatched to later sinks), and its callable is
+  // destroyed only when the entry is erased, once dispatch unwinds.
   void remove_sink(SinkId id) noexcept {
     for (Entry& e : sinks_) {
-      if (e.id == id && e.sink) {
+      if (e.id == id) {
         e.id = kTombstone;
-        e.sink = nullptr;
         if (dispatch_depth_ == 0) {
           compact();
         } else {
@@ -168,26 +158,20 @@ class Tracer {
 
  private:
   struct Entry {
-    SinkId id;
+    SinkId id;  // kTombstone = removed, awaiting compaction
     CategoryMask mask;
     bool needs_message;
-    Sink sink;  // nullptr = tombstone awaiting compaction
+    Sink sink;
   };
 
-  static constexpr SinkId kPrimarySink = 0;
-  // Marks a tombstoned entry so a recycled SinkId can never match it.
+  // Marks a removed entry; add_sink never hands this id out.
   static constexpr SinkId kTombstone = std::numeric_limits<SinkId>::max();
-
-  void add_entry(SinkId id, CategoryMask mask, bool needs_message, Sink sink) {
-    sinks_.push_back(Entry{id, mask, needs_message, std::move(sink)});
-    recompute_masks();
-  }
 
   void recompute_masks() noexcept {
     union_mask_ = 0;
     message_mask_ = 0;
     for (const Entry& e : sinks_) {
-      if (!e.sink) continue;
+      if (e.id == kTombstone) continue;
       union_mask_ |= e.mask;
       if (e.needs_message) message_mask_ |= e.mask;
     }
@@ -195,7 +179,9 @@ class Tracer {
 
   void compact() const noexcept {
     for (std::size_t i = sinks_.size(); i-- > 0;) {
-      if (!sinks_[i].sink) sinks_.erase(sinks_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (sinks_[i].id == kTombstone) {
+        sinks_.erase(sinks_.begin() + static_cast<std::ptrdiff_t>(i));
+      }
     }
     pending_compact_ = false;
   }
@@ -212,7 +198,7 @@ class Tracer {
     const std::size_t n = sinks_.size();
     for (std::size_t i = 0; i < n; ++i) {
       const Entry& e = sinks_[i];
-      if (e.sink && (e.mask & b) != 0) e.sink(r);
+      if (e.id != kTombstone && (e.mask & b) != 0) e.sink(r);
     }
     if (--dispatch_depth_ == 0 && pending_compact_) compact();
   }

@@ -15,7 +15,7 @@ using test::TestNet;
 using test::make_packet;
 
 std::vector<std::string> air_log(TestNet& net, std::vector<std::string>& out) {
-  net.tracer().set_sink([&out](const TraceRecord& r) {
+  net.tracer().add_sink([&out](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start ", 0) == 0) {
       out.push_back(r.message.substr(9, r.message.find(' ', 9) - 9));
     }
@@ -76,7 +76,7 @@ TEST(BmmmProtocol, UnreachableReceiverCarriedAcrossRoundsThenDropped) {
 TEST(BmmmProtocol, SecondRoundOnlyTargetsFailedReceiver) {
   TestNet net;
   int rts_count = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start RTS", 0) == 0) {
       ++rts_count;
     }

@@ -47,7 +47,7 @@ TEST(BmwProtocol, OverhearingSkipsRedundantData) {
   // extra DATA transmission.
   TestNet net;
   int data_count = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start DATA", 0) == 0) {
       ++data_count;
     }

@@ -8,11 +8,16 @@
 // production campaign does.  Simulations here are small — ~40 nodes and a
 // few dozen packets — but they exercise the full worker frame protocol,
 // store, retry, and aggregation paths.
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "metrics/snapshot_io.hpp"
 #include "scenario/config_key.hpp"
 #include "sim/json.hpp"
+#include "sim/strfmt.hpp"
 
 namespace rmacsim {
 namespace {
@@ -263,6 +269,75 @@ TEST(CampaignSpecTest, RejectsUnknownTokens) {
   std::string error;
   EXPECT_FALSE(parse_campaign_spec(R"({"protocols": ["romac"]})", spec, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Config checks: a config that cannot run is refused by run_experiment, by
+// the spec parser, and by the run_experiment CLI (exit code 2).
+
+ExperimentConfig runnable_config() {
+  ExperimentConfig c;
+  c.num_nodes = 20;
+  c.num_packets = 5;
+  c.rate_pps = 20.0;
+  return c;
+}
+
+// Why run_experiment refused `c` ("" if it did not throw).
+std::string run_error(const ExperimentConfig& c) {
+  try {
+    (void)run_experiment(c);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+std::string spec_error(const std::string& json) {
+  CampaignSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_campaign_spec(json, spec, &error)) << json;
+  return error;
+}
+
+int cli_exit_code(const std::string& args) {
+  const std::string cmd = std::string{RMAC_RUN_EXPERIMENT_BIN} + " " + args + " >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ExperimentConfigCheck, RejectsFewerThanTwoNodes) {
+  EXPECT_EQ(config_error(runnable_config()), "");
+  for (const unsigned nodes : {0u, 1u}) {
+    ExperimentConfig c = runnable_config();
+    c.num_nodes = nodes;
+    EXPECT_NE(run_error(c).find("nodes must be >= 2"), std::string::npos) << nodes;
+    EXPECT_NE(spec_error(cat(R"({"nodes": )", nodes, "}")).find("nodes must be >= 2"),
+              std::string::npos);
+    EXPECT_EQ(cli_exit_code(cat("--nodes ", nodes)), 2);
+  }
+}
+
+TEST(ExperimentConfigCheck, RejectsNonPositiveOrNonFiniteRate) {
+  for (const double rate : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    ExperimentConfig c = runnable_config();
+    c.rate_pps = rate;
+    EXPECT_NE(run_error(c).find("rate must be"), std::string::npos) << rate;
+  }
+  // JSON has no inf/NaN; a bad rate anywhere in the list rejects the spec.
+  EXPECT_NE(spec_error(R"({"rates": [10, 0]})").find("rate must be"), std::string::npos);
+  EXPECT_NE(spec_error(R"({"rates": [-5]})").find("rate must be"), std::string::npos);
+  EXPECT_EQ(cli_exit_code("--rate 0"), 2);
+  EXPECT_EQ(cli_exit_code("--rate -5"), 2);
+}
+
+TEST(ExperimentConfigCheck, RejectsZeroPackets) {
+  ExperimentConfig c = runnable_config();
+  c.num_packets = 0;
+  EXPECT_NE(run_error(c).find("packets must be >= 1"), std::string::npos);
+  EXPECT_NE(spec_error(R"({"packets": 0})").find("packets must be >= 1"), std::string::npos);
+  EXPECT_EQ(cli_exit_code("--packets 0"), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ using test::make_packet;
 TEST(DcfProtocol, ReliableUnicastFourWayHandshake) {
   TestNet net;
   std::vector<std::string> frames;  // frame types that hit the air, in order
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start ", 0) == 0) {
       frames.push_back(r.message.substr(9, r.message.find(' ', 9) - 9));
     }
@@ -130,7 +130,7 @@ TEST(DcfProtocol, NavSilencesThirdParty) {
 TEST(DcfProtocol, CtsTimeoutBumpsContentionWindowAndRetries) {
   TestNet net;
   int rts_count = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy &&
         r.message.rfind("tx-start RTS", 0) == 0) {
       ++rts_count;

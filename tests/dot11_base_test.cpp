@@ -19,7 +19,7 @@ TEST(Dot11Base, OverheardDurationSetsNav) {
   // C overhears A's RTS to B; while the NAV runs, C must not win contention.
   TestNet net;
   std::vector<std::string> frames;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start ", 0) == 0) {
       frames.push_back(r.message.substr(9, r.message.find(' ', 9) - 9));
     }
@@ -49,7 +49,7 @@ TEST(Dot11Base, FramesAddressedToUsDoNotSetOurNav) {
   // carries a long duration — it only silences third parties.
   TestNet net;
   SimTime cts_at = SimTime::zero();
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start CTS", 0) == 0) {
       cts_at = r.at;
     }
@@ -66,7 +66,7 @@ TEST(Dot11Base, DifsGateDelaysFirstTransmission) {
   // From a cold start, nothing may air before DIFS (50 us) has elapsed.
   TestNet net;
   SimTime first_tx = SimTime::zero();
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (first_tx == SimTime::zero() && r.category == TraceCategory::kPhy &&
         r.message.rfind("tx-start", 0) == 0) {
       first_tx = r.at;
@@ -113,7 +113,8 @@ TEST(Tracer, SinkReceivesStructuredRecords) {
   Tracer tracer;
   std::vector<TraceRecord> records;
   EXPECT_FALSE(tracer.enabled());
-  tracer.set_sink([&](const TraceRecord& r) { records.push_back(r); });
+  const Tracer::SinkId sink =
+      tracer.add_sink([&](const TraceRecord& r) { records.push_back(r); });
   EXPECT_TRUE(tracer.enabled());
   tracer.emit(SimTime::us(5), TraceCategory::kMac, 3, "hello");
   ASSERT_EQ(records.size(), 1u);
@@ -121,7 +122,7 @@ TEST(Tracer, SinkReceivesStructuredRecords) {
   EXPECT_EQ(records[0].category, TraceCategory::kMac);
   EXPECT_EQ(records[0].node, 3u);
   EXPECT_EQ(records[0].message, "hello");
-  tracer.clear_sink();
+  tracer.remove_sink(sink);
   EXPECT_FALSE(tracer.enabled());
   tracer.emit(SimTime::us(6), TraceCategory::kMac, 3, "dropped");
   EXPECT_EQ(records.size(), 1u);

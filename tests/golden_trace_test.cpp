@@ -104,6 +104,50 @@ TEST(GoldenTrace, LoadedScenarioDigestsAreStable) {
   }
 }
 
+// Small scenarios: 20 nodes on 250x250 m, 5 packets at 20 pkt/s after a
+// 10 s warm-up, 2 s drain — a tone-based and two 802.11-family MACs, plus
+// a mobile RMAC cell whose grid rebuilds and SoA resyncs run mid-traffic.
+// Each digest was derived with the scheduler's per-event execution and
+// singleton medium delivery groups, and matched the batched, grouped
+// default bit for bit; pinning it here keeps the bucket sweep and the
+// shared-event delivery groups honest without keeping either switch.
+struct SmallGolden {
+  Protocol proto;
+  std::uint64_t seed;
+  MobilityScenario mobility;
+  std::uint64_t digest;
+  std::uint64_t delivered;
+};
+
+constexpr SmallGolden kSmallGolden[] = {
+    {Protocol::kRmac, 7, MobilityScenario::kStationary, 0x63b0318c436b0fad, 95},
+    {Protocol::kDcf, 7, MobilityScenario::kStationary, 0xad4e6c32ecc2b490, 89},
+    {Protocol::kBmmm, 7, MobilityScenario::kStationary, 0x9a53f7c54d0fd664, 95},
+    {Protocol::kRmac, 11, MobilityScenario::kSpeed1, 0xff52259f576bc276, 70},
+};
+
+TEST(GoldenTrace, SmallScenarioDigestsAreStable) {
+  for (const SmallGolden& g : kSmallGolden) {
+    SCOPED_TRACE(test::seed_trace(g.seed));
+    ExperimentConfig c;
+    c.protocol = g.proto;
+    c.seed = g.seed;
+    c.mobility = g.mobility;
+    c.num_nodes = 20;
+    c.area = Rect{250.0, 250.0};
+    c.rate_pps = 20.0;
+    c.num_packets = 5;
+    c.warmup = SimTime::sec(10);
+    c.drain = SimTime::sec(2);
+    c.trace_digest = true;
+    const ExperimentResult r = run_experiment(c);
+    EXPECT_EQ(r.trace_digest, g.digest)
+        << to_string(g.proto) << " seed " << g.seed << ": actual digest 0x" << std::hex
+        << r.trace_digest;
+    EXPECT_EQ(r.delivered, g.delivered) << to_string(g.proto) << " seed " << g.seed;
+  }
+}
+
 // Backoff slot accounting on the golden configs: the samples the
 // event-driven engine counts arithmetically equal the ticks the per-slot
 // polling engine executed on the same runs.

@@ -15,7 +15,7 @@ using test::TestNet;
 using test::make_packet;
 
 std::vector<std::string> capture_air(TestNet& net, std::vector<std::string>& out) {
-  net.tracer().set_sink([&out](const TraceRecord& r) {
+  net.tracer().add_sink([&out](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start ", 0) == 0) {
       out.push_back(r.message.substr(9, r.message.find(' ', 9) - 9));
     }
@@ -47,7 +47,7 @@ TEST(LammProtocol, BatchSequenceHasNoRtsOrRakPolling) {
 TEST(LammProtocol, ResponsesFollowTheListedOrder) {
   TestNet net;
   std::vector<std::pair<std::string, NodeId>> ctl;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start CTS", 0) == 0) {
       ctl.emplace_back("CTS", r.node);
     }
@@ -153,7 +153,7 @@ TEST(LammProtocol, QueuedPacketsAllComplete) {
 TEST(LammProtocol, GrtsWireSizeMatchesMrtsFormat) {
   TestNet net;
   std::size_t grts_bytes = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start GRTS", 0) == 0) {
       grts_bytes = std::stoul(r.message.substr(14));
     }

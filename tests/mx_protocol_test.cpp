@@ -36,7 +36,7 @@ TEST(MxProtocol, GroupRtsCostsFixed20BytesRegardlessOfGroupSize) {
   // addresses in the request.
   TestNet net;
   std::size_t rts_bytes = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy && r.message.rfind("tx-start RTS", 0) == 0) {
       rts_bytes = std::stoul(r.message.substr(13));
     }
@@ -105,7 +105,7 @@ TEST(MxProtocol, NakToneTriggersRetransmission) {
 TEST(MxProtocol, NoCtsToneMeansNoData) {
   TestNet net;
   int data_tx = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy &&
         r.message.rfind("tx-start DATA", 0) == 0) {
       ++data_tx;

@@ -51,7 +51,7 @@ TEST_P(ReceiverCountSweep, AbtOrderMatchesMrtsOrder) {
   const unsigned n = GetParam();
   TestNet net;
   std::vector<NodeId> abt_order;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kTone && r.message == "ABT on") {
       abt_order.push_back(r.node);
     }

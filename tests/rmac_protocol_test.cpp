@@ -50,7 +50,7 @@ TEST(RmacProtocol, ReliableMulticastReachesAllReceivers) {
 TEST(RmacProtocol, AbtsArriveInMrtsOrderWithSlotSpacing) {
   TestNet net;
   std::vector<std::pair<NodeId, SimTime>> abt_on;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kTone && r.message == "ABT on") {
       abt_on.emplace_back(r.node, r.at);
     }
@@ -116,7 +116,7 @@ TEST(RmacProtocol, NoRbtMeansNoDataTransmission) {
   // frame may ever air.
   TestNet net;
   int data_tx = 0;
-  net.tracer().set_sink([&](const TraceRecord& r) {
+  net.tracer().add_sink([&](const TraceRecord& r) {
     if (r.category == TraceCategory::kPhy &&
         r.message.find("tx-start RDATA") != std::string::npos) {
       ++data_tx;

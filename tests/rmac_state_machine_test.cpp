@@ -29,7 +29,7 @@ struct StateLog {
 
 // Capture state transitions of one node id.
 void capture(TestNet& net, NodeId node, StateLog& log) {
-  net.tracer().set_sink([&log, node](const TraceRecord& r) {
+  net.tracer().add_sink([&log, node](const TraceRecord& r) {
     if (r.category == TraceCategory::kMacState && r.node == node) {
       log.transitions.push_back(StateLog::strip_reason(r.message));
     }

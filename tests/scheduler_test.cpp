@@ -245,16 +245,23 @@ TEST(Scheduler, LargeCaptureFallsBackToHeapAndStillRuns) {
 }
 
 // --- Batched same-timestamp dispatch ---------------------------------------
+//
+// run() and run_until() sweep each due bucket in one loop; step() executes
+// one event per call and is the per-event reference those sweeps must match.
+
+void run_stepwise(Scheduler& s) {
+  while (s.step()) {
+  }
+}
 
 TEST(SchedulerBatch, SameTimestampFifoPreservedAcrossBatchedPath) {
-  for (const bool batched : {true, false}) {
+  for (const bool stepwise : {false, true}) {
     Scheduler s;
-    s.set_batch_dispatch(batched);
     std::vector<int> order;
     for (int i = 0; i < 64; ++i) {
       s.schedule_at(5_us, [&order, i] { order.push_back(i); });
     }
-    s.run();
+    stepwise ? run_stepwise(s) : s.run();
     ASSERT_EQ(order.size(), 64u);
     for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
@@ -287,14 +294,13 @@ TEST(SchedulerBatch, EventsScheduledAtSameTimestampMidDrainRunInTick) {
 TEST(SchedulerBatch, CancelFromInsideSameTickPreventsExecution) {
   // A batch member cancelling a later member of the *same* tick must win:
   // the drain generation-checks each entry at execution time.
-  for (const bool batched : {true, false}) {
+  for (const bool stepwise : {false, true}) {
     Scheduler s;
-    s.set_batch_dispatch(batched);
     bool victim_ran = false;
     EventId victim = kInvalidEvent;
     s.schedule_at(5_us, [&] { s.cancel(victim); });
     victim = s.schedule_at(5_us, [&] { victim_ran = true; });
-    s.run();
+    stepwise ? run_stepwise(s) : s.run();
     EXPECT_FALSE(victim_ran);
     EXPECT_EQ(s.executed_count(), 1u);
   }
@@ -317,14 +323,13 @@ TEST(SchedulerBatch, LargeTickTakesRebuildPathAndKeepsLaterEvents) {
 }
 
 TEST(SchedulerBatch, BatchedAndPerEventRunsAreIdentical) {
-  // Deterministic churn with heavy timestamp ties, replayed in both modes;
-  // the fired token sequences must match exactly.
+  // Deterministic churn with heavy timestamp ties, drained by run() and by
+  // step(); the fired token sequences must match exactly.
   std::vector<int> fired_batched;
   std::vector<int> fired_stepwise;
-  for (const bool batched : {true, false}) {
+  for (const bool stepwise : {false, true}) {
     Scheduler s;
-    s.set_batch_dispatch(batched);
-    std::vector<int>& fired = batched ? fired_batched : fired_stepwise;
+    std::vector<int>& fired = stepwise ? fired_stepwise : fired_batched;
     std::vector<EventId> live;
     std::uint64_t x = 0xfeedface12345678ULL;
     auto rnd = [&x] {
@@ -342,7 +347,7 @@ TEST(SchedulerBatch, BatchedAndPerEventRunsAreIdentical) {
         live.push_back(s.schedule_at(at, [&fired, tk] { fired.push_back(tk); }));
       }
     }
-    s.run();
+    stepwise ? run_stepwise(s) : s.run();
   }
   EXPECT_EQ(fired_batched, fired_stepwise);
 }
@@ -363,12 +368,16 @@ TEST(Scheduler, PendingCountTracksLiveEvents) {
 // Randomized schedule / cancel / BulkInsert / same-time churn, issued from
 // inside running events, against a reference priority queue ordered by
 // (time, schedule-call number): the order a global queue keyed by (at, seq)
-// produces.  Times span the ring and the far heap.
+// produces.  Times span the ring and the far heap.  The same seeded workload
+// is drained three ways: run(); run_until() over short slices whose limits
+// fall inside a bucket (the sweep must stop at the limit with later members
+// of the same bucket still pending, as Network::run_until does); and step().
 TEST(SchedulerKeys, RandomChurnRunsInReferenceQueueOrder) {
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "per-event");
+  enum class Drive { kRun, kSlices, kStep };
+  for (const Drive drive : {Drive::kRun, Drive::kSlices, Drive::kStep}) {
+    SCOPED_TRACE(drive == Drive::kRun ? "run" : drive == Drive::kSlices ? "slices" : "step");
     Scheduler s;
-    s.set_batch_dispatch(batched);
+    SimTime limit = SimTime::max();  // the running slice's end
     std::map<std::pair<SimTime, std::uint64_t>, int> model;  // (at, call#) -> token
     std::map<int, std::pair<EventId, std::pair<SimTime, std::uint64_t>>> live;
     std::uint64_t calls = 0;
@@ -399,6 +408,7 @@ TEST(SchedulerKeys, RandomChurnRunsInReferenceQueueOrder) {
       add(at, s.schedule_at(at, [&body, token] { body(token); }), token);
     };
     body = [&](int token) {
+      EXPECT_LE(s.now(), limit);
       fired.push_back(token);
       ASSERT_FALSE(model.empty());
       expected.push_back(model.begin()->second);
@@ -426,7 +436,30 @@ TEST(SchedulerKeys, RandomChurnRunsInReferenceQueueOrder) {
     for (int i = 0; i < 50; ++i) {
       schedule_one(SimTime::us(static_cast<std::int64_t>(rnd() % 100)));
     }
-    s.run();
+    switch (drive) {
+      case Drive::kRun: s.run(); break;
+      case Drive::kSlices: {
+        // Its own stream, so the workload's draws match the other drives.
+        std::uint64_t y = 0x5eed5eed5eed5eedULL;
+        std::uint64_t mid_bucket_stops = 0;  // next event shares the limit's bucket
+        while (s.pending_count() > 0) {
+          y = y * 6364136223846793005ULL + 1442695040888963407ULL;
+          // Mostly sub-bucket slices (a bucket spans 2048 ns), some longer.
+          const std::uint64_t r = y >> 33;
+          const std::int64_t len =
+              static_cast<std::int64_t>(r % 4 == 0 ? 1 + r % 50'000 : 1 + r % 4'000);
+          limit = s.now() + SimTime::ns(len);
+          s.run_until(limit);
+          EXPECT_EQ(s.now(), limit);
+          if (s.next_event_time().nanoseconds() / 2048 == limit.nanoseconds() / 2048) {
+            ++mid_bucket_stops;
+          }
+        }
+        EXPECT_GT(mid_bucket_stops, 100u);
+        break;
+      }
+      case Drive::kStep: run_stepwise(s); break;
+    }
     EXPECT_EQ(fired, expected);
     EXPECT_TRUE(model.empty());
     EXPECT_GT(fired.size(), 5'000u);
@@ -436,13 +469,12 @@ TEST(SchedulerKeys, RandomChurnRunsInReferenceQueueOrder) {
 // schedule_keyed places an event by {at, scheduled_at, order}, whatever the
 // moment of the call: before ordinary events scheduled later, after those
 // scheduled earlier, and by order among equal scheduled-at times — in the
-// ring and in the far heap, batched or not, and mid-tick at now().
+// ring and in the far heap, swept or stepped, and mid-tick at now().
 TEST(SchedulerKeys, KeyedInsertLandsWhereSpecified) {
   for (const SimTime t : {5_ms, 50_ms}) {  // ring horizon is ~8.4 ms
-    for (const bool batched : {true, false}) {
-      SCOPED_TRACE(testing::Message() << "t=" << t << (batched ? " batched" : " per-event"));
+    for (const bool stepwise : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "t=" << t << (stepwise ? " step" : " run"));
       Scheduler s;
-      s.set_batch_dispatch(batched);
       std::vector<std::string> order;
       auto mark = [&order](const char* name) {
         return [&order, name] { order.emplace_back(name); };
@@ -459,7 +491,7 @@ TEST(SchedulerKeys, KeyedInsertLandsWhereSpecified) {
       s.schedule_keyed(t, 1500_us, s.take_order(), mark("Kmid"));       // E1 < Kmid < E2
       s.schedule_keyed(t, 3_ms, s.take_order(), mark("Klate"));         // after E2
       s.schedule_keyed(t + 1_ns, SimTime::zero(), s.take_front_order(), mark("Knext"));
-      s.run();
+      stepwise ? run_stepwise(s) : s.run();
       EXPECT_EQ(order, (std::vector<std::string>{"E0", "Kfront", "E1", "Kmid", "E2", "Klate",
                                                  "Know", "E3", "Knext"}));
     }

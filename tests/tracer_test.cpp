@@ -5,6 +5,7 @@
 // the *live* set of sinks as it changes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,26 +158,6 @@ TEST(TracerLifecycle, DeferredFormatterSkippedWhenNoSubscriberNeedsMessages) {
   EXPECT_EQ(last_message, "expensive");
 }
 
-TEST(TracerLifecycle, LegacyPrimarySinkReplacementKeepsOtherSubscribers) {
-  Tracer tracer;
-  int auditor_like = 0;
-  tracer.add_sink([&](const TraceRecord&) { ++auditor_like; },
-                  Tracer::bit(TraceCategory::kPhy), /*needs_message=*/false);
-
-  int first = 0;
-  int second = 0;
-  tracer.set_sink([&](const TraceRecord&) { ++first; });
-  tracer.emit(record_at(1));
-  tracer.set_sink([&](const TraceRecord&) { ++second; });  // replaces slot 0
-  tracer.emit(record_at(2));
-  tracer.clear_sink();
-  tracer.emit(record_at(3));
-
-  EXPECT_EQ(first, 1);
-  EXPECT_EQ(second, 1);
-  EXPECT_EQ(auditor_like, 3);
-}
-
 TEST(TracerLifecycle, RemoveDuringDispatchThenReuseManyTimes) {
   // Stress the tombstone/compaction path: each record, one sink removes
   // itself and registers a replacement; counts must come out exact.
@@ -195,6 +176,36 @@ TEST(TracerLifecycle, RemoveDuringDispatchThenReuseManyTimes) {
 
   for (int i = 1; i <= 100; ++i) tracer.emit(record_at(i));
   EXPECT_EQ(total, 100);
+}
+
+// Set by the canary's deleter when the last copy of the sink's capture is
+// destroyed; globals, so the sink body can read them after it removed
+// itself without touching its own (possibly freed) closure.
+bool g_canary_destroyed = false;
+bool g_destroyed_inside_body = false;
+
+TEST(TracerLifecycle, SelfRemovedSinkOutlivesItsOwnBody) {
+  g_canary_destroyed = false;
+  g_destroyed_inside_body = false;
+  Tracer tracer;
+  Tracer::SinkId id = 0;
+  {
+    std::shared_ptr<int> canary{new int{0}, [](const int* p) {
+                                  g_canary_destroyed = true;
+                                  delete p;
+                                }};
+    id = tracer.add_sink([&tracer, &id, canary](const TraceRecord&) {
+      tracer.remove_sink(id);
+      g_destroyed_inside_body = g_canary_destroyed;
+    });
+  }
+  ASSERT_FALSE(g_canary_destroyed);  // the tracer holds the only copy
+  tracer.emit(record_at(1));
+  // Removal must not destroy the callable while it runs; it goes once
+  // dispatch unwinds.
+  EXPECT_FALSE(g_destroyed_inside_body);
+  EXPECT_TRUE(g_canary_destroyed);
+  EXPECT_FALSE(tracer.enabled());
 }
 
 }  // namespace
