@@ -462,7 +462,8 @@ void BM_ProfiledSmallExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfiledSmallExperiment)->Unit(benchmark::kMillisecond);
 
-// The same recorded experiment writing all four artifacts each iteration.
+// The same recorded experiment writing its three artifacts (trace, journeys,
+// manifest) each iteration.
 // Export cost scales with artifact size rather than simulated time, so it is
 // reported (export_ms counter) but not ratio-gated; the gap to
 // BM_RecordedSmallExperiment is the full serialization + I/O price.

@@ -194,6 +194,12 @@ int main(int argc, char** argv) {
     opts.worker_binary = sibling_run_experiment();
   }
   (void)have_spec_file;
+  // --nodes/--rates/--packets override the spec after parse_campaign_spec
+  // checked it, so check the final grid before any cell runs.
+  if (const std::string why = spec_error(spec); !why.empty()) {
+    std::fprintf(stderr, "error: %s\n", why.c_str());
+    return 2;
+  }
 
   const std::vector<CampaignCell> cells = expand_cells(spec, build_revision());
   if (cells.empty()) {

@@ -7,7 +7,7 @@
 //       [--obs] [--obs-dir DIR] [--metrics] [--metrics-dir DIR] [--profile]
 //       [--shards n] [--shard-threads n] [--lookahead-us us]
 //       [--shard-partition stripes|grid|rcb] [--shard-grid RxC] [--shard-pin]
-//       [--telemetry] [--progress sec]
+//       [--progress sec]
 //
 // --shards > 1 runs the spatially sharded parallel engine (docs/parallel.md)
 // with one worker thread per shard unless --shard-threads overrides it;
@@ -15,20 +15,23 @@
 // --shard-partition picks the spatial partitioner; --shard-grid fixes the
 // grid shape (implies --shard-partition grid and --shards R*C; an explicit
 // --shards that disagrees is an error); --shard-pin pins worker threads to
-// CPUs (benchmarks on otherwise-idle hosts).  --telemetry records
-// window/barrier telemetry without the rest of the flight recorder;
-// --progress emits one JSON heartbeat line to stderr every `sec` seconds of
-// wall time.
+// CPUs (benchmarks on otherwise-idle hosts).  --progress emits one JSON
+// heartbeat line to stderr every `sec` seconds of wall time.  Sharded runs
+// record window/barrier telemetry whenever --obs*, --metrics* or --progress
+// reads it.
 //
-// --obs-dir attaches the flight recorder and writes the Perfetto trace,
-// journey JSONL, time-series CSV, and run manifest into DIR.  On sharded
-// runs the trace additionally carries per-worker window tracks, the CSV is
-// per-shard, and <prefix>_telemetry.json holds the window telemetry.  --obs
+// --obs-dir attaches the flight recorder and writes the Perfetto trace (packet
+// slices plus channel and MAC-state counter tracks), journey JSONL, and run
+// manifest into DIR; the manifest lists every file the run wrote.  On sharded
+// runs each shard gets its own counter tracks, and the trace additionally
+// carries per-worker window tracks and per-window shard-load counters.  --obs
 // attaches the recorder without writing artifacts (summary counts only) —
 // handy for measuring the recorder's observer effect.
 //
 // --metrics-dir snapshots the metrics registry into DIR as
-// <prefix>_metrics.txt (OpenMetrics) and _metrics.json; --metrics prints the
+// <prefix>_metrics.txt (OpenMetrics) and _metrics.json (totals and
+// distributions, including the rmacsim_shard_window_* series that
+// tools/shard_report.py reads); --metrics prints the
 // loss-ledger breakdown and conservation verdict without writing artifacts.
 // --profile attaches the self-profiler and prints the hotspot table.
 // --worker <canonical> switches the binary into campaign-worker mode: the
@@ -59,7 +62,7 @@ namespace {
                "          [--metrics] [--metrics-dir DIR] [--profile]\n"
                "          [--shards n] [--shard-threads n] [--lookahead-us us]\n"
                "          [--shard-partition stripes|grid|rcb] [--shard-grid RxC]\n"
-               "          [--shard-pin] [--telemetry] [--progress sec]\n"
+               "          [--shard-pin] [--progress sec]\n"
                "          [--payload bytes] [--area WxH]\n"
                "       %s --worker CANONICAL [--worker-heartbeat sec]\n",
                argv0, argv0);
@@ -199,8 +202,6 @@ int main(int argc, char** argv) {
       grid_explicit = true;
     } else if (arg == "--shard-pin") {
       c.shard_pin_workers = true;
-    } else if (arg == "--telemetry") {
-      c.obs.window_telemetry = true;
     } else if (arg == "--progress") {
       c.progress.interval_s = std::atof(next());
     } else {
@@ -234,11 +235,6 @@ int main(int argc, char** argv) {
   if (c.progress.interval_s < 0.0) {
     std::fprintf(stderr, "error: --progress interval must be positive\n");
     return 2;
-  }
-  if (c.obs.window_telemetry && c.shards == 1) {
-    std::fprintf(stderr,
-                 "warning: --telemetry is a no-op without --shards > 1 "
-                 "(window telemetry instruments the sharded engine)\n");
   }
 
   std::printf("running %s...\n", c.label().c_str());
@@ -344,12 +340,6 @@ int main(int argc, char** argv) {
       std::printf("%-28s %.1f ms\n", "artifact export", r.obs.export_ms);
       std::printf("%-28s %s\n", "", r.obs.trace_json.c_str());
       std::printf("%-28s %s\n", "", r.obs.journeys_jsonl.c_str());
-      if (!r.obs.timeseries_csv.empty()) {
-        std::printf("%-28s %s\n", "", r.obs.timeseries_csv.c_str());
-      }
-      if (!r.obs.telemetry_json.empty()) {
-        std::printf("%-28s %s\n", "", r.obs.telemetry_json.c_str());
-      }
       std::printf("%-28s %s\n", "", r.obs.manifest_json.c_str());
     }
   }

@@ -108,16 +108,21 @@ bool parse_campaign_spec(const JsonValue& doc, CampaignSpec& out, std::string* e
       return set_error(error, cat("spec: unknown strategy ", v->as_string()));
     }
   }
-  for (const double rate : spec.rates) {
-    ExperimentConfig cell = base;
-    cell.rate_pps = rate;
-    if (const std::string why = config_error(cell); !why.empty()) {
-      return set_error(error, cat("spec: ", why));
-    }
+  if (const std::string why = spec_error(spec); !why.empty()) {
+    return set_error(error, cat("spec: ", why));
   }
 
   out = std::move(spec);
   return true;
+}
+
+std::string spec_error(const CampaignSpec& spec) {
+  for (const double rate : spec.rates) {
+    ExperimentConfig cell = spec.base;
+    cell.rate_pps = rate;
+    if (std::string why = config_error(cell); !why.empty()) return why;
+  }
+  return {};
 }
 
 bool parse_campaign_spec(std::string_view text, CampaignSpec& out, std::string* error) {

@@ -56,6 +56,12 @@ struct CampaignCell {
 [[nodiscard]] bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
                                        std::string* error = nullptr);
 
+// Why some cell of `spec` cannot run (config_error of the base config at
+// each rate), or "" when every cell can.  parse_campaign_spec applies it;
+// callers that override spec fields afterwards (run_campaign's flags) must
+// re-check.
+[[nodiscard]] std::string spec_error(const CampaignSpec& spec);
+
 // Expand the cross product in canonical order: protocol-major, then
 // mobility, then rate, then seed.
 [[nodiscard]] std::vector<CampaignCell> expand_cells(const CampaignSpec& spec,

@@ -1,6 +1,7 @@
 #include "obs/exporters.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -44,39 +45,22 @@ constexpr int kNodePid = 1;    // frame transmissions + deliveries, one tid per 
 constexpr int kTonePid = 2;    // RBT holds / ABT pulses, one tid per node
 constexpr int kCounterPid = 0;
 constexpr int kWorkerPid = 3;  // executor workers, one tid per worker
+constexpr int kShardPid = 4;   // above one shard: shard s's counters on pid kShardPid + s
 
-void hist_json(Buf& b, const StreamingHistogram& h) {
-  b.lit("{\"count\":");
-  b.u64(h.count());
-  b.lit(",\"mean\":");
-  b.dbl(h.mean());
-  b.lit(",\"min\":");
-  b.dbl(h.min());
-  b.lit(",\"max\":");
-  b.dbl(h.max());
-  b.lit(",\"p50\":");
-  b.dbl(h.percentile(50));
-  b.lit(",\"p90\":");
-  b.dbl(h.percentile(90));
-  b.lit(",\"p99\":");
-  b.dbl(h.percentile(99));
-  b.ch('}');
-}
+// mac_state arg names, in RmacProtocol::State enumerator order.
+constexpr std::array<const char*, kNumTrackedMacStates> kRmacStateNames{
+    "IDLE", "BACKOFF", "WF_RBT", "WF_RDATA", "WF_ABT", "TX_MRTS", "TX_RDATA", "TX_UNRDATA"};
 
 }  // namespace
 
-std::vector<std::string> rmac_state_names() {
-  return {"IDLE", "BACKOFF", "WF_RBT", "WF_RDATA", "WF_ABT",
-          "TX_MRTS", "TX_RDATA", "TX_UNRDATA"};
-}
-
 bool write_chrome_trace(const std::string& path, const FlightRecorder& recorder,
-                        const TimeSeriesCollector* timeseries) {
-  return write_chrome_trace(path, recorder.journeys(), timeseries);
+                        std::span<const TimeSeriesCollector* const> timeseries,
+                        bool mac_states) {
+  return write_chrome_trace(path, recorder.journeys(), timeseries, mac_states);
 }
 
 bool write_chrome_trace(const std::string& path, const std::vector<Journey>& journeys,
-                        const TimeSeriesCollector* timeseries,
+                        std::span<const TimeSeriesCollector* const> timeseries, bool mac_states,
                         const WindowTelemetry* telemetry) {
   Buf b;
   b.lit("{\"traceEvents\":[\n");
@@ -190,26 +174,52 @@ bool write_chrome_trace(const std::string& path, const std::vector<Journey>& jou
     }
   }
 
-  const auto counter = [&](const char* name, SimTime at, double value) {
+  // Opens a counter event; the caller writes the args members and "}}".
+  const auto counter_open = [&](int pid, const char* name, SimTime at) {
     if (!first) b.lit(",\n");
     first = false;
     b.lit(R"({"ph":"C","pid":)");
-    b.i64(kCounterPid);
+    b.i64(pid);
     b.lit(R"(,"tid":0,"ts":)");
     b.us(at);
     b.lit(R"(,"name":")");
     b.lit(name);
-    b.lit(R"(","args":{"value":)");
+    b.lit(R"(","args":{)");
+  };
+  const auto counter = [&](const char* name, SimTime at, double value) {
+    counter_open(kCounterPid, name, at);
+    b.lit(R"("value":)");
     b.dbl(value);
     b.lit("}}");
   };
 
-  if (timeseries != nullptr) {
-    for (const TimeSample& s : timeseries->samples()) {
-      counter("busy_frac", s.at, s.busy_frac);
-      counter("rbt_on", s.at, s.rbt_on);
-      counter("abt_on", s.at, s.abt_on);
-      counter("queue_depth", s.at, static_cast<double>(s.queue_depth));
+  const bool per_shard = timeseries.size() > 1;
+  for (std::size_t sh = 0; sh < timeseries.size(); ++sh) {
+    const int pid = per_shard ? kShardPid + static_cast<int>(sh) : kCounterPid;
+    if (per_shard) meta_event(b, first, pid, 0, "process_name", "shard " + std::to_string(sh));
+    for (const TimeSample& s : timeseries[sh]->samples()) {
+      counter_open(pid, "channel", s.at);
+      b.lit(R"("busy_frac":)");
+      b.dbl9(s.busy_frac);
+      b.lit(R"(,"active_tx":)");
+      b.u64(s.active_tx);
+      b.lit(R"(,"rbt_on":)");
+      b.u64(s.rbt_on);
+      b.lit(R"(,"abt_on":)");
+      b.u64(s.abt_on);
+      b.lit(R"(,"queue_depth":)");
+      b.u64(s.queue_depth);
+      b.lit("}}");
+      if (!mac_states) continue;
+      counter_open(pid, "mac_state", s.at);
+      for (std::size_t i = 0; i < kNumTrackedMacStates; ++i) {
+        if (i != 0) b.ch(',');
+        b.ch('"');
+        b.lit(kRmacStateNames[i]);
+        b.lit("\":");
+        b.u64(s.state_counts[i]);
+      }
+      b.lit("}}");
     }
   }
 
@@ -226,6 +236,19 @@ bool write_chrome_trace(const std::string& path, const std::vector<Journey>& jou
                    "worker " + std::to_string(w));
       }
     }
+    // One arg per shard, keyed by the shard index.
+    const auto shard_counter = [&](const char* name, SimTime at,
+                                   std::span<const std::uint64_t> values, auto&& put) {
+      counter_open(kCounterPid, name, at);
+      for (std::size_t sh = 0; sh < values.size(); ++sh) {
+        if (sh != 0) b.ch(',');
+        b.ch('"');
+        b.u64(sh);
+        b.lit("\":");
+        put(values[sh]);
+      }
+      b.lit("}}");
+    };
     for (std::size_t i = 0; i < wt.ring_count(); ++i) {
       const WindowTelemetry::Sample& s = wt.sample(i);
       const double span_s = (s.to - s.from).to_seconds();
@@ -235,6 +258,16 @@ bool write_chrome_trace(const std::string& path, const std::vector<Journey>& jou
       counter("messages_per_window", s.from, static_cast<double>(msgs));
       counter("events_per_s", s.from,
               span_s > 0.0 ? static_cast<double>(s.events) / span_s : 0.0);
+      counter_open(kCounterPid, "barrier", s.from);
+      b.lit(R"("tau_ns":)");
+      b.i64(s.tau.nanoseconds());
+      b.lit(R"(,"phantom_refreshes":)");
+      b.u64(s.phantom_refreshes);
+      b.lit("}}");
+      shard_counter("shard_events", s.from, wt.sample_shard_events(i),
+                    [&](std::uint64_t events) { b.u64(events); });
+      shard_counter("shard_busy_ms", s.from, wt.sample_shard_busy_ns(i),
+                    [&](std::uint64_t ns) { b.dbl(static_cast<double>(ns) / 1e6); });
       if (!have_workers) continue;
       const auto exec_ns = wt.sample_worker_execute_ns(i);
       const auto stall_ns = wt.sample_worker_stall_ns(i);
@@ -318,230 +351,6 @@ bool write_journeys_jsonl(const std::string& path, const std::vector<Journey>& j
     }
     b.lit("]}\n");
   }
-  return b.flush_to(path);
-}
-
-bool write_timeseries_csv(const std::string& path, const TimeSeriesCollector& timeseries,
-                          const std::vector<std::string>& state_names) {
-  Buf b;
-  b.lit("t_s,busy_frac,active_tx,rbt_on,abt_on,queue_depth");
-  for (std::size_t i = 0; i < kNumTrackedMacStates; ++i) {
-    b.lit(",state_");
-    if (i < state_names.size()) {
-      b.str(state_names[i]);
-    } else {
-      b.u64(i);
-    }
-  }
-  b.ch('\n');
-  for (const TimeSample& s : timeseries.samples()) {
-    b.dbl9(s.at.to_seconds());
-    b.ch(',');
-    b.dbl9(s.busy_frac);
-    b.ch(',');
-    b.u64(s.active_tx);
-    b.ch(',');
-    b.u64(s.rbt_on);
-    b.ch(',');
-    b.u64(s.abt_on);
-    b.ch(',');
-    b.u64(s.queue_depth);
-    for (std::uint32_t c : s.state_counts) {
-      b.ch(',');
-      b.u64(c);
-    }
-    b.ch('\n');
-  }
-  return b.flush_to(path);
-}
-
-bool write_timeseries_csv(const std::string& path, std::span<const ShardTimeSeries> shards,
-                          const std::vector<std::string>& state_names) {
-  Buf b;
-  b.lit("shard,t_s,busy_frac,active_tx,rbt_on,abt_on,queue_depth");
-  for (std::size_t i = 0; i < kNumTrackedMacStates; ++i) {
-    b.lit(",state_");
-    if (i < state_names.size()) {
-      b.str(state_names[i]);
-    } else {
-      b.u64(i);
-    }
-  }
-  b.ch('\n');
-  for (const ShardTimeSeries& st : shards) {
-    if (st.series == nullptr) continue;
-    for (const TimeSample& s : st.series->samples()) {
-      b.u64(st.shard);
-      b.ch(',');
-      b.dbl9(s.at.to_seconds());
-      b.ch(',');
-      b.dbl9(s.busy_frac);
-      b.ch(',');
-      b.u64(s.active_tx);
-      b.ch(',');
-      b.u64(s.rbt_on);
-      b.ch(',');
-      b.u64(s.abt_on);
-      b.ch(',');
-      b.u64(s.queue_depth);
-      for (std::uint32_t c : s.state_counts) {
-        b.ch(',');
-        b.u64(c);
-      }
-      b.ch('\n');
-    }
-  }
-  return b.flush_to(path);
-}
-
-bool write_window_telemetry_json(const std::string& path, const WindowTelemetry& wt,
-                                 const std::vector<ManifestField>& extra) {
-  Buf b;
-  b.lit("{\"schema\":\"rmacsim-window-telemetry-v1\"");
-  b.lit(",\"shards\":");
-  b.u64(wt.shards());
-  b.lit(",\"workers\":");
-  b.u64(wt.workers());
-  b.lit(",\"windows\":");
-  b.u64(wt.windows());
-  b.lit(",\"events\":");
-  b.u64(wt.events());
-  b.lit(",\"span_s\":");
-  b.dbl9(wt.span().to_seconds());
-  b.lit(",\"messages_total\":");
-  b.u64(wt.messages_total());
-  b.lit(",\"phantom_refreshes\":");
-  b.u64(wt.phantom_refreshes());
-  b.lit(",\"messages\":{");
-  for (std::size_t k = 0; k < WindowTelemetry::kMsgKinds; ++k) {
-    if (k != 0) b.ch(',');
-    b.ch('"');
-    b.lit(WindowTelemetry::msg_kind_name(k));
-    b.lit("\":");
-    b.u64(wt.messages(k));
-  }
-  b.ch('}');
-  b.lit(",\"imbalance\":{\"busy\":");
-  b.dbl(wt.imbalance_busy());
-  b.lit(",\"events\":");
-  b.dbl(wt.imbalance_events());
-  b.ch('}');
-  b.lit(",\"speedup_bound\":{\"busy\":");
-  b.dbl(wt.speedup_bound_busy());
-  b.lit(",\"events\":");
-  b.dbl(wt.speedup_bound_events());
-  b.ch('}');
-
-  b.lit(",\"per_shard\":[");
-  for (std::size_t s = 0; s < wt.shards(); ++s) {
-    if (s != 0) b.ch(',');
-    b.lit("{\"shard\":");
-    b.u64(s);
-    b.lit(",\"events\":");
-    b.u64(wt.shard_events(s));
-    b.lit(",\"busy_ns\":");
-    b.u64(wt.shard_busy_ns(s));
-    b.ch('}');
-  }
-  b.ch(']');
-
-  b.lit(",\"per_worker\":[");
-  for (unsigned w = 0; w < wt.workers(); ++w) {
-    if (w != 0) b.ch(',');
-    b.lit("{\"worker\":");
-    b.u64(w);
-    b.lit(",\"execute_ns\":");
-    b.u64(wt.worker_execute_ns(w));
-    b.lit(",\"stall_ns\":");
-    b.u64(wt.worker_stall_ns(w));
-    b.ch('}');
-  }
-  b.ch(']');
-  b.lit(",\"worker_wait_ns\":");
-  b.u64(wt.worker_wait_ns());
-
-  b.lit(",\"window_width_us\":");
-  hist_json(b, wt.width_us_hist());
-  b.lit(",\"messages_per_window\":");
-  hist_json(b, wt.messages_hist());
-
-  // The retained ring, columnar (oldest first).  Per-shard / per-worker
-  // series are arrays-of-arrays indexed [shard][sample] so plotting tools
-  // can stack them without pivoting.
-  const std::size_t n = wt.ring_count();
-  const auto u64_col = [&](const char* name, auto&& get) {
-    b.lit(",\"");
-    b.lit(name);
-    b.lit("\":[");
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != 0) b.ch(',');
-      b.u64(get(i));
-    }
-    b.ch(']');
-  };
-  b.lit(",\"samples\":{\"index\":[");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != 0) b.ch(',');
-    b.u64(wt.sample(i).index);
-  }
-  b.ch(']');
-  u64_col("from_ns", [&](std::size_t i) {
-    return static_cast<std::uint64_t>(wt.sample(i).from.nanoseconds());
-  });
-  u64_col("to_ns", [&](std::size_t i) {
-    return static_cast<std::uint64_t>(wt.sample(i).to.nanoseconds());
-  });
-  u64_col("tau_ns", [&](std::size_t i) {
-    return static_cast<std::uint64_t>(wt.sample(i).tau.nanoseconds());
-  });
-  u64_col("events", [&](std::size_t i) { return wt.sample(i).events; });
-  u64_col("messages_total", [&](std::size_t i) {
-    std::uint64_t m = 0;
-    for (const std::uint32_t k : wt.sample(i).messages) m += k;
-    return m;
-  });
-  u64_col("phantom_refreshes",
-          [&](std::size_t i) { return std::uint64_t{wt.sample(i).phantom_refreshes}; });
-  const auto nested = [&](const char* name, std::size_t outer, auto&& get) {
-    b.lit(",\"");
-    b.lit(name);
-    b.lit("\":[");
-    for (std::size_t o = 0; o < outer; ++o) {
-      if (o != 0) b.ch(',');
-      b.ch('[');
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i != 0) b.ch(',');
-        b.u64(get(o, i));
-      }
-      b.ch(']');
-    }
-    b.ch(']');
-  };
-  nested("shard_events", wt.shards(),
-         [&](std::size_t s, std::size_t i) { return wt.sample_shard_events(i)[s]; });
-  nested("shard_busy_ns", wt.shards(),
-         [&](std::size_t s, std::size_t i) { return wt.sample_shard_busy_ns(i)[s]; });
-  if (n > 0 && !wt.sample_worker_execute_ns(0).empty()) {
-    nested("worker_execute_ns", wt.workers(),
-           [&](std::size_t w, std::size_t i) { return wt.sample_worker_execute_ns(i)[w]; });
-    nested("worker_stall_ns", wt.workers(),
-           [&](std::size_t w, std::size_t i) { return wt.sample_worker_stall_ns(i)[w]; });
-  }
-  b.ch('}');
-
-  for (const ManifestField& f : extra) {
-    b.lit(",\"");
-    b.escaped(f.key);
-    b.lit("\":");
-    if (f.raw) {
-      b.str(f.value);
-    } else {
-      b.ch('"');
-      b.escaped(f.value);
-      b.ch('"');
-    }
-  }
-  b.lit("}\n");
   return b.flush_to(path);
 }
 

@@ -3,22 +3,22 @@
 //  * write_chrome_trace  — Chrome trace_event JSON (the JSON Array Format
 //    wrapped in {"traceEvents": [...]}), viewable in Perfetto / chrome://
 //    tracing: one slice track per node (frame transmissions, RBT holds),
-//    instants for ABT pulses and app deliveries, counter tracks from the
-//    time series.
+//    instants for ABT pulses and app deliveries, and every timeline the run
+//    sampled as counter tracks — the channel and MAC-state series of each
+//    shard and, above one shard, the window-telemetry ring.  Totals and
+//    distributions belong to the metrics snapshot (metrics/export.hpp), not
+//    here.
 //  * write_journeys_jsonl — one JSON object per journey per line; the
 //    self-contained per-packet story (journey_test reconstructs protocol
 //    behaviour from this file alone, and tools/journey_report.py renders
 //    post-mortems from it).
-//  * write_timeseries_csv — the TimeSeriesCollector ring as a CSV for
-//    tools/plot_results.py --timeline.
-//  * write_run_manifest   — run provenance (config, seed, digests, output
-//    files) as flat JSON; fields are passed in generically so this layer
-//    stays below scenario/.
+//  * write_run_manifest   — run provenance (config, seed, digests) and the
+//    index of the files the run wrote, as flat JSON; fields are passed in
+//    generically so this layer stays below scenario/.
 //
 // All writers return false (and write nothing further) on I/O failure.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,43 +30,32 @@ namespace rmacsim {
 
 class WindowTelemetry;
 
-[[nodiscard]] bool write_chrome_trace(const std::string& path, const FlightRecorder& recorder,
-                                      const TimeSeriesCollector* timeseries = nullptr);
+// Counter tracks, one entry of `timeseries` per shard (empty: none).  Each
+// sample becomes a "channel" counter (busy_frac, active_tx, rbt_on, abt_on,
+// queue_depth) and, with `mac_states` (RMAC runs), a "mac_state" counter
+// with one arg per RmacProtocol::State.  Above one shard each shard's
+// counters live on their own process track ("shard s"), so every (pid, name)
+// track stays time-ordered.
+[[nodiscard]] bool write_chrome_trace(
+    const std::string& path, const FlightRecorder& recorder,
+    std::span<const TimeSeriesCollector* const> timeseries = {}, bool mac_states = false);
 // Journey-list overload: export an already-merged set (merge_journeys) —
 // the sharded path, where one FlightRecorder per shard sees only a slice of
 // each packet's story.  When `telemetry` is set, the trace also carries one
 // track per executor worker (execute slices over each window's sim-time
-// span, wall-clock execute/stall spans in args) and counter tracks for
-// window width, messages per window, and events/s, all from the telemetry
-// ring.
-[[nodiscard]] bool write_chrome_trace(const std::string& path,
-                                      const std::vector<Journey>& journeys,
-                                      const TimeSeriesCollector* timeseries = nullptr,
-                                      const WindowTelemetry* telemetry = nullptr);
+// span, wall-clock execute/stall spans in args) and, per retained window,
+// counters for window width, messages per window, events/s, the closing
+// barrier's tau and phantom refreshes ("barrier"), and each shard's events
+// ("shard_events") and advance wall time ("shard_busy_ms"), one arg per
+// shard.
+[[nodiscard]] bool write_chrome_trace(
+    const std::string& path, const std::vector<Journey>& journeys,
+    std::span<const TimeSeriesCollector* const> timeseries = {}, bool mac_states = false,
+    const WindowTelemetry* telemetry = nullptr);
 
 [[nodiscard]] bool write_journeys_jsonl(const std::string& path, const FlightRecorder& recorder);
 [[nodiscard]] bool write_journeys_jsonl(const std::string& path,
                                         const std::vector<Journey>& journeys);
-
-// `state_names[i]` labels state_counts[i] columns; pass RMAC's state names
-// for RMAC runs (see rmac_state_names()).
-[[nodiscard]] bool write_timeseries_csv(const std::string& path,
-                                        const TimeSeriesCollector& timeseries,
-                                        const std::vector<std::string>& state_names);
-
-// Sharded merge: one region-labeled row stream per shard, each row prefixed
-// with its shard index (rows grouped by shard, time-ordered within).  Every
-// shard samples at the same sim times, so tools can pivot on (shard, t_s).
-struct ShardTimeSeries {
-  std::uint32_t shard;
-  const TimeSeriesCollector* series;
-};
-[[nodiscard]] bool write_timeseries_csv(const std::string& path,
-                                        std::span<const ShardTimeSeries> shards,
-                                        const std::vector<std::string>& state_names);
-
-// Column labels matching RmacProtocol::State enumerator order.
-[[nodiscard]] std::vector<std::string> rmac_state_names();
 
 struct ManifestField {
   std::string key;
@@ -76,14 +65,5 @@ struct ManifestField {
 
 [[nodiscard]] bool write_run_manifest(const std::string& path,
                                       const std::vector<ManifestField>& fields);
-
-// Window-telemetry export ("rmacsim-window-telemetry-v1"): totals, per-shard
-// and per-worker aggregates, imbalance / achievable-speedup analytics,
-// histogram summaries, and the retained ring as columnar arrays — the input
-// for tools/shard_report.py and plot_results.py fig_shard_load.  `extra`
-// fields (run provenance) are appended at the top level.
-[[nodiscard]] bool write_window_telemetry_json(const std::string& path,
-                                               const WindowTelemetry& telemetry,
-                                               const std::vector<ManifestField>& extra = {});
 
 }  // namespace rmacsim

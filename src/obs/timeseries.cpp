@@ -7,9 +7,7 @@ namespace rmacsim {
 TimeSeriesCollector::TimeSeriesCollector(Scheduler& scheduler, Tracer& tracer, Config config)
     : scheduler_{scheduler},
       tracer_{tracer},
-      config_{std::move(config)},
-      busy_hist_{0.0, 1.0 + 1e-9, 64},
-      queue_hist_{0.0, 4096.0, 128} {
+      config_{std::move(config)} {
   if (config_.capacity == 0) config_.capacity = 1;
   ring_.reserve(config_.capacity);
   sink_id_ = tracer_.add_sink(
@@ -109,8 +107,6 @@ void TimeSeriesCollector::on_tick() {
   s.queue_depth = config_.queue_probe ? config_.queue_probe() : 0;
   s.state_counts = state_counts_;
 
-  busy_hist_.add(s.busy_frac);
-  queue_hist_.add(static_cast<double>(s.queue_depth));
   if (ring_.size() < config_.capacity) {
     ring_.push_back(std::move(s));
   } else {

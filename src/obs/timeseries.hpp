@@ -6,8 +6,8 @@
 // transmission, instantaneous active-transmitter and tone counts, per-state
 // node counts (from RMAC's kMacState transitions), and an optional queue
 // depth probe.  Samples land in a fixed-capacity ring buffer (oldest
-// overwritten) and feed streaming histograms, so arbitrarily long runs use
-// constant memory.
+// overwritten), so arbitrarily long runs use constant memory; the Perfetto
+// trace exports them as counter tracks (obs/exporters.hpp).
 //
 // The periodic tick keeps rescheduling itself until stop() — drive the
 // simulation with Scheduler::run_until, not a run-to-empty loop, while a
@@ -21,7 +21,6 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
-#include "stats/percentile.hpp"
 
 namespace rmacsim {
 
@@ -43,7 +42,7 @@ class TimeSeriesCollector {
 public:
   struct Config {
     SimTime sample_period{SimTime::ms(10)};
-    std::size_t capacity{4096};
+    std::size_t capacity{8192};
     // Polled once per tick; typically sums MacProtocol::queue_depth() over
     // the network's nodes.  May be empty.
     std::function<std::uint64_t()> queue_probe;
@@ -67,9 +66,6 @@ public:
     return count_ > ring_.size() ? count_ - ring_.size() : 0;
   }
   [[nodiscard]] SimTime sample_period() const noexcept { return config_.sample_period; }
-
-  [[nodiscard]] const StreamingHistogram& busy_hist() const noexcept { return busy_hist_; }
-  [[nodiscard]] const StreamingHistogram& queue_hist() const noexcept { return queue_hist_; }
 
 private:
   void on_record(const TraceRecord& r);
@@ -100,8 +96,6 @@ private:
 
   std::vector<TimeSample> ring_;
   std::size_t count_{0};  // samples ever taken; ring slot = count_ % capacity
-  StreamingHistogram busy_hist_;
-  StreamingHistogram queue_hist_;
 };
 
 }  // namespace rmacsim

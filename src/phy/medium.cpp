@@ -159,6 +159,25 @@ void Medium::group_receptions(Transmission& t) {
   }
 }
 
+// The bernoulli draw happens iff the reception is decodable, once per
+// candidate in candidate order: the RNG stream, and with it every golden
+// digest run at BER > 0, depends on exactly that order.  Past the draw the
+// stages only attribute each loss to its cause.
+inline bool Medium::stage_delivery(const Frame& f, NodeId rx, bool decodable, double bits,
+                                   SimTime at) {
+  if (!decodable) return false;
+  if (params_.bit_error_rate > 0.0 &&
+      !rng_.bernoulli(std::pow(1.0 - params_.bit_error_rate, bits))) {
+    ++counters_.ber_losses;
+    return false;
+  }
+  if (scripted_ && !script_allows_delivery(f, rx, at)) {
+    ++counters_.scripted_losses;
+    return false;
+  }
+  return true;
+}
+
 SimTime Medium::begin_transmission(Radio& tx, FramePtr frame) {
   RMAC_PROF_SCOPE("phy.begin_transmission");
   assert(tx.medium_tx_handle() == 0 && "radio already has a transmission in flight");
@@ -198,23 +217,8 @@ SimTime Medium::begin_transmission(Radio& tx, FramePtr frame) {
     const double dist = std::sqrt(c.dist_sq);
     const SimTime prop = params_.propagation_delay(dist);
     const std::uint64_t sig = next_sig_++;
-    // Beyond range_m the signal interferes but can never be decoded.  The
-    // staged evaluation mirrors the original short-circuit exactly — the
-    // bernoulli draw happens iff the receiver is in decode range — so the
-    // RNG stream (and with it the golden digests) is unchanged; the stages
-    // exist only to attribute each loss to its cause.
-    const bool in_range = c.dist_sq <= r2;
-    bool ber_pass = true;
-    if (in_range && params_.bit_error_rate > 0.0) {
-      ber_pass = rng_.bernoulli(std::pow(1.0 - params_.bit_error_rate, bits));
-      if (!ber_pass) ++counters_.ber_losses;
-    }
-    bool script_pass = true;
-    if (in_range && ber_pass && scripted_) {
-      script_pass = script_allows_delivery(f, c.id, now);
-      if (!script_pass) ++counters_.scripted_losses;
-    }
-    const bool deliver_ok = in_range && ber_pass && script_pass;
+    // Beyond range_m the signal interferes but can never be decoded.
+    const bool deliver_ok = stage_delivery(f, c.id, c.dist_sq <= r2, bits, now);
     t.receptions.push_back(Reception{rx, sig, dist, prop, c.id, deliver_ok});
   }
 
@@ -279,22 +283,11 @@ Medium::TxHandle Medium::begin_remote_transmission(FramePtr frame, Vec2 origin,
     const SimTime prop = params_.propagation_delay(dist);
     if (start + prop + airtime <= now) continue;  // wholly in the past
     const std::uint64_t sig = next_sig_++;
-    const bool in_range = c.dist_sq <= r2;
     // A leading edge already behind now() means the receiver missed part of
     // the signal: it still interferes for the remainder but can't decode.
     const bool clamped = start + prop < now;
     if (clamped) ++remote_clamped_;
-    bool ber_pass = true;
-    if (in_range && !clamped && params_.bit_error_rate > 0.0) {
-      ber_pass = rng_.bernoulli(std::pow(1.0 - params_.bit_error_rate, bits));
-      if (!ber_pass) ++counters_.ber_losses;
-    }
-    bool script_pass = true;
-    if (in_range && !clamped && ber_pass && scripted_) {
-      script_pass = script_allows_delivery(f, c.id, start);
-      if (!script_pass) ++counters_.scripted_losses;
-    }
-    const bool deliver_ok = in_range && !clamped && ber_pass && script_pass;
+    const bool deliver_ok = stage_delivery(f, c.id, c.dist_sq <= r2 && !clamped, bits, start);
     t.receptions.push_back(Reception{c.rx, sig, dist, prop, c.id, deliver_ok});
   }
   if (t.receptions.empty()) {

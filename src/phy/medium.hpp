@@ -230,6 +230,12 @@ private:
   // Fill scratch_ with the radios within `radius` of `origin` (ascending
   // NodeId, exact positions at `now`, excluding `exclude`).
   void collect_candidates(Vec2 origin, double radius, SimTime now, const Radio* exclude) const;
+  // Reception staging, shared by local transmissions and remote mirrors:
+  // whether a `decodable` reception of a `bits`-bit frame survives the BER
+  // draw and then the loss script (evaluated at `at`), counting each loss
+  // against its stage.
+  [[nodiscard]] bool stage_delivery(const Frame& f, NodeId rx, bool decodable, double bits,
+                                    SimTime at);
 
   PhyParams params_;
   Scheduler& scheduler_;

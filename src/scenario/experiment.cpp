@@ -8,15 +8,14 @@
 // path.  At one shard that is the whole network and every output is the
 // serial engine's.  Above one shard (docs/parallel.md):
 //   * journeys are merged by JourneyId across the shard recorders (each sees
-//     only the slice of a packet's story its shard executed), and the
-//     time-series CSV carries a leading shard column — every shard starts
-//     sampling at the same barrier with the same period, so sample times
-//     line up regardless of the thread count;
+//     only the slice of a packet's story its shard executed), and each
+//     shard's time series gets its own counter tracks in the trace — every
+//     shard starts sampling at the same barrier with the same period, so
+//     sample times line up regardless of the thread count;
 //   * per-shard digests fold in shard order;
-//   * window telemetry (obs.window_telemetry, or implicitly obs.record /
-//     metrics.enabled / a progress heartbeat) lands in ShardSummary,
-//     <prefix>_telemetry.json, worker tracks in the Chrome trace, and the
-//     rmacsim_shard_window_* series;
+//   * window telemetry (on whenever obs.record, metrics.enabled or a progress
+//     heartbeat reads it) lands in ShardSummary, the trace's worker and
+//     per-window counter tracks, and the rmacsim_shard_window_* series;
 //   * the profiler is thread-local, so one attaches on the driving thread
 //     and (at threads > 1) one per worker through the worker hook; the
 //     reports merge by section name.
@@ -261,11 +260,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const NodeId n = config.num_nodes;
   net.set_safety_check(config.shard_safety_check);
 
-  // Window telemetry feeds the metrics snapshot, the exported artifacts, and
-  // the heartbeat's imbalance field, so any of those turns it on.
-  if (sharded && (config.obs.window_telemetry || config.obs.record || config.metrics.enabled ||
-                  config.progress.interval_s > 0.0)) {
-    net.enable_window_telemetry(config.obs.telemetry_capacity);
+  // Window telemetry feeds the metrics snapshot, the trace, and the
+  // heartbeat's imbalance field, so any of those turns it on.
+  if (sharded &&
+      (config.obs.record || config.metrics.enabled || config.progress.interval_s > 0.0)) {
+    net.enable_window_telemetry();
   }
 
   const SimTime gen_span =
@@ -363,13 +362,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::vector<std::unique_ptr<FlightRecorder>> recorders;
   std::vector<std::unique_ptr<TimeSeriesCollector>> collectors;
   if (config.obs.record) {
-    FlightRecorder::Config rc;
-    rc.track_hellos = config.obs.track_hellos;
     for (std::size_t s = 0; s < S; ++s) {
-      recorders.push_back(std::make_unique<FlightRecorder>(net.shard(s).tracer, rc));
+      recorders.push_back(std::make_unique<FlightRecorder>(net.shard(s).tracer));
       TimeSeriesCollector::Config tc;
-      tc.sample_period = config.obs.sample_period;
-      tc.capacity = config.obs.timeseries_capacity;
       tc.queue_probe = [&net, s] {
         std::uint64_t sum = 0;
         for (const Node& nd : net.shard(s).nodes) sum += nd.mac->queue_depth();
@@ -514,23 +509,28 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
     r.shard.window_events.reserve(S);
     for (std::size_t s = 0; s < S; ++s) r.shard.window_events.push_back(wt->shard_events(s));
+  }
 
-    if ((config.obs.record || config.obs.window_telemetry) && !config.obs.out_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(config.obs.out_dir, ec);
-      r.obs.telemetry_json =
-          (std::filesystem::path(config.obs.out_dir) / config.obs.prefix).string() +
-          "_telemetry.json";
-      std::vector<ManifestField> extra;
-      extra.push_back({"label", config.label(), false});
-      extra.push_back({"seed", std::to_string(config.seed), true});
-      extra.push_back({"partition", std::string(rmacsim::to_string(r.shard.partition)), false});
-      if (r.shard.grid_rows > 0) {
-        extra.push_back({"shard_grid", cat(r.shard.grid_rows, "x", r.shard.grid_cols), false});
-      }
-      extra.push_back({"threads", std::to_string(r.shard.threads), true});
-      extra.push_back({"node_counts", counts_json, true});
-      (void)write_window_telemetry_json(r.obs.telemetry_json, *wt, extra);
+  // Metrics snapshot: a pure post-run collect pass over counters the hot
+  // paths already maintained, so enabling it cannot shift digests or the
+  // allocs-per-tx gate.
+  if (config.metrics.enabled) {
+    MetricsRegistry reg;
+    collect_metrics(reg, net);
+    collect_ledger(reg, r.ledger);
+    r.metrics.series = reg.series_count();
+    r.metrics.conservation_ok = r.ledger.conservation_ok();
+    if (config.metrics.keep_json) {
+      r.metrics.json = to_metrics_json(
+          reg, r.ledger, profiler.has_value() ? &r.profile.report : nullptr);
+    }
+    if (!config.metrics.out_dir.empty() &&
+        !write_metrics_artifacts(reg, r.ledger,
+                                 profiler.has_value() ? &r.profile.report : nullptr,
+                                 config.metrics.out_dir, config.metrics.prefix,
+                                 r.metrics.text_path, r.metrics.json_path)) {
+      r.metrics.text_path.clear();
+      r.metrics.json_path.clear();
     }
   }
 
@@ -554,7 +554,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
     // Artifact export is deliberately outside the run's overhead budget: it
     // is a post-run serialization step whose cost tracks artifact size (tens
-    // of MB on paper-scale scenarios), and r.obs.export_ms reports it.
+    // of MB on paper-scale scenarios), and r.obs.export_ms reports it.  The
+    // manifest goes last: it indexes every file the run wrote.
     if (!config.obs.out_dir.empty()) {
       const auto export_begin = std::chrono::steady_clock::now();
       std::error_code ec;
@@ -563,25 +564,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                 config.obs.prefix).string();
       r.obs.trace_json = base + "_trace.json";
       r.obs.journeys_jsonl = base + "_journeys.jsonl";
-      r.obs.timeseries_csv = base + "_timeseries.csv";
       r.obs.manifest_json = base + "_manifest.json";
-      const std::vector<std::string> state_names =
-          config.protocol == Protocol::kRmac ? rmac_state_names() : std::vector<std::string>{};
-      if (sharded) {
-        (void)write_chrome_trace(r.obs.trace_json, merged, nullptr, wt);
-        (void)write_journeys_jsonl(r.obs.journeys_jsonl, merged);
-        std::vector<ShardTimeSeries> shard_series;
-        shard_series.reserve(S);
-        for (std::size_t s = 0; s < S; ++s) {
-          shard_series.push_back({static_cast<std::uint32_t>(s), collectors[s].get()});
-        }
-        (void)write_timeseries_csv(r.obs.timeseries_csv, shard_series, state_names);
-      } else {
-        (void)write_chrome_trace(r.obs.trace_json, *recorders.front(),
-                                 collectors.front().get());
-        (void)write_journeys_jsonl(r.obs.journeys_jsonl, *recorders.front());
-        (void)write_timeseries_csv(r.obs.timeseries_csv, *collectors.front(), state_names);
+      std::vector<const TimeSeriesCollector*> series;
+      series.reserve(S);
+      for (const auto& c : collectors) series.push_back(c.get());
+      const bool mac_states = config.protocol == Protocol::kRmac;
+      const std::vector<Journey>& journeys = sharded ? merged : recorders.front()->journeys();
+      if (!write_chrome_trace(r.obs.trace_json, journeys, series, mac_states, wt)) {
+        r.obs.trace_json.clear();
       }
+      if (!write_journeys_jsonl(r.obs.journeys_jsonl, journeys)) r.obs.journeys_jsonl.clear();
 
       std::vector<ManifestField> m;
       m.push_back({"label", config.label(), false});
@@ -613,46 +605,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       m.push_back({"journey_events", std::to_string(r.obs.journey_events), true});
       m.push_back({"journeys_dropped", std::to_string(journeys_dropped), true});
       m.push_back({"timeseries_samples", std::to_string(r.obs.samples), true});
-      m.push_back({"sample_period_us", cat(config.obs.sample_period.to_us()), true});
-      if (r.shard.telemetry) {
-        m.push_back({"windows_recorded", std::to_string(wt->windows()), true});
-        m.push_back({"imbalance_busy", cat(r.shard.imbalance_busy), true});
-        m.push_back({"imbalance_events", cat(r.shard.imbalance_events), true});
-        m.push_back({"speedup_bound_busy", cat(r.shard.speedup_bound_busy), true});
-        m.push_back({"speedup_bound_events", cat(r.shard.speedup_bound_events), true});
-        m.push_back({"phantom_refreshes", std::to_string(r.shard.phantom_refreshes), true});
-      }
-      m.push_back({"trace_json", r.obs.trace_json, false});
-      m.push_back({"journeys_jsonl", r.obs.journeys_jsonl, false});
-      m.push_back({"timeseries_csv", r.obs.timeseries_csv, false});
-      if (!r.obs.telemetry_json.empty()) {
-        m.push_back({"telemetry_json", r.obs.telemetry_json, false});
-      }
-      (void)write_run_manifest(r.obs.manifest_json, m);
+      m.push_back({"sample_period_us", cat(collectors.front()->sample_period().to_us()), true});
+      const auto index = [&m](const char* key, const std::string& path) {
+        if (!path.empty()) m.push_back({key, path, false});
+      };
+      index("trace_json", r.obs.trace_json);
+      index("journeys_jsonl", r.obs.journeys_jsonl);
+      index("metrics_text", r.metrics.text_path);
+      index("metrics_json", r.metrics.json_path);
+      if (!write_run_manifest(r.obs.manifest_json, m)) r.obs.manifest_json.clear();
       r.obs.export_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - export_begin)
                             .count();
-    }
-  }
-
-  // Metrics snapshot: a pure post-run collect pass over counters the hot
-  // paths already maintained, so enabling it cannot shift digests or the
-  // allocs-per-tx gate.
-  if (config.metrics.enabled) {
-    MetricsRegistry reg;
-    collect_metrics(reg, net);
-    collect_ledger(reg, r.ledger);
-    r.metrics.series = reg.series_count();
-    r.metrics.conservation_ok = r.ledger.conservation_ok();
-    if (config.metrics.keep_json) {
-      r.metrics.json = to_metrics_json(
-          reg, r.ledger, profiler.has_value() ? &r.profile.report : nullptr);
-    }
-    if (!config.metrics.out_dir.empty()) {
-      (void)write_metrics_artifacts(reg, r.ledger,
-                                    profiler.has_value() ? &r.profile.report : nullptr,
-                                    config.metrics.out_dir, config.metrics.prefix,
-                                    r.metrics.text_path, r.metrics.json_path);
     }
   }
   return r;

@@ -64,24 +64,20 @@ struct ExperimentConfig {
   bool trace_digest{false};
 
   // Flight-recorder attachment (src/obs/): when `record` is set the run
-  // attaches a FlightRecorder and TimeSeriesCollector and, at the end,
-  // writes <out_dir>/<prefix>_trace.json (Chrome trace_event JSON),
-  // <prefix>_journeys.jsonl, <prefix>_timeseries.csv, and
-  // <prefix>_manifest.json.  Costs trace-sink dispatch on the hot path
-  // (budget: <10% on the audited 75-node paper scenario), so off by default.
+  // attaches a FlightRecorder and a TimeSeriesCollector per shard and, at the
+  // end, writes <out_dir>/<prefix>_trace.json (Chrome trace_event JSON with
+  // every timeline: packet slices, channel / MAC-state counters, and above
+  // one shard the window-telemetry ring), <prefix>_journeys.jsonl, and
+  // <prefix>_manifest.json, the index of every file the run wrote (metrics
+  // artifacts included).  Costs trace-sink dispatch on the hot path (budget:
+  // <10% on the audited 75-node paper scenario), so off by default.
+  //
+  // Above one shard, window telemetry (per-barrier spans, per-shard load,
+  // per-worker execute/stall wall time, cross-shard message mix) runs
+  // whenever something reads it: `record`, metrics.enabled, or a progress
+  // heartbeat.
   struct ObsConfig {
     bool record{false};
-    SimTime sample_period{SimTime::ms(10)};
-    std::size_t timeseries_capacity{8192};
-    bool track_hellos{false};
-    // Window/barrier telemetry above one shard (no-op at shards == 1):
-    // per-barrier spans, per-shard load, per-worker execute/stall wall time,
-    // cross-shard message mix.  Also enabled implicitly by obs.record,
-    // metrics.enabled, or a progress heartbeat at shards > 1; this flag turns
-    // it on alone (the overhead benchmark measures exactly this).  Exported
-    // as <prefix>_telemetry.json when out_dir is set.
-    bool window_telemetry{false};
-    std::size_t telemetry_capacity{4096};  // retained-window ring size
     // Artifact directory; leave empty to record in memory only (ObsSummary
     // counts are still filled, nothing is written to disk).
     std::string out_dir{"."};
@@ -233,7 +229,7 @@ struct ExperimentResult {
     std::vector<std::uint32_t> node_counts;  // per-shard populations
 
     // Window-telemetry analytics (zeros unless telemetry ran — see
-    // ObsConfig::window_telemetry for when it is enabled implicitly).
+    // ObsConfig for when it is enabled).
     // The events-basis fields are deterministic across thread counts; the
     // busy-basis fields are wall clock.
     bool telemetry{false};
@@ -258,9 +254,7 @@ struct ExperimentResult {
     double export_ms{0.0};
     std::string trace_json;       // paths of the written artifacts
     std::string journeys_jsonl;
-    std::string timeseries_csv;
     std::string manifest_json;
-    std::string telemetry_json;   // runs above one shard with window telemetry only
   };
   ObsSummary obs;
 };

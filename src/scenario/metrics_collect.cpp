@@ -321,7 +321,7 @@ void collect_metrics(MetricsRegistry& reg, Network& net) {
       .set(net.window().to_seconds());
 
   // Window-telemetry series (present only when the run recorded telemetry —
-  // see ObsConfig::window_telemetry).  The events-basis series are
+  // see ExperimentConfig::ObsConfig).  The events-basis series are
   // deterministic across thread counts; every *_seconds series below is wall
   // clock and varies run to run.
   const WindowTelemetry* wt = net.window_telemetry();

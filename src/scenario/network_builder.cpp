@@ -919,11 +919,9 @@ void Network::run_windows(SimTime until) {
   exec_->run();
 }
 
-void Network::enable_window_telemetry(std::size_t ring_capacity) {
+void Network::enable_window_telemetry() {
   if (telemetry_ != nullptr) return;
-  WindowTelemetry::Config cfg;
-  if (ring_capacity > 0) cfg.ring_capacity = ring_capacity;
-  telemetry_ = std::make_unique<WindowTelemetry>(shards_.size(), cfg);
+  telemetry_ = std::make_unique<WindowTelemetry>(shards_.size());
   prev_executed_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     // Events already executed (construction-time arming) belong to no window.

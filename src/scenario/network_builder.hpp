@@ -188,10 +188,10 @@ public:
 
   // Per-barrier telemetry (window span/tau, per-shard events and busy-ns,
   // per-worker execute/stall spans, cross-shard messages by kind, phantom
-  // refreshes).  Enable before the first run_until; ring_capacity 0 keeps
-  // the recorder's default.  Also turns on the executor's wall-clock timing.
-  // A one-shard network runs no windows, so it records nothing.
-  void enable_window_telemetry(std::size_t ring_capacity = 0);
+  // refreshes).  Enable before the first run_until.  Also turns on the
+  // executor's wall-clock timing.  A one-shard network runs no windows, so it
+  // records nothing.
+  void enable_window_telemetry();
   [[nodiscard]] WindowTelemetry* window_telemetry() noexcept { return telemetry_.get(); }
   [[nodiscard]] const WindowTelemetry* window_telemetry() const noexcept {
     return telemetry_.get();

@@ -273,7 +273,8 @@ TEST(CampaignSpecTest, RejectsUnknownTokens) {
 
 // ---------------------------------------------------------------------------
 // Config checks: a config that cannot run is refused by run_experiment, by
-// the spec parser, and by the run_experiment CLI (exit code 2).
+// the spec parser, and by the run_experiment and run_campaign CLIs (exit
+// code 2, before any cell runs).
 
 ExperimentConfig runnable_config() {
   ExperimentConfig c;
@@ -293,17 +294,20 @@ std::string run_error(const ExperimentConfig& c) {
   return {};
 }
 
-std::string spec_error(const std::string& json) {
+std::string spec_parse_error(const std::string& json) {
   CampaignSpec spec;
   std::string error;
   EXPECT_FALSE(parse_campaign_spec(json, spec, &error)) << json;
   return error;
 }
 
-int cli_exit_code(const std::string& args) {
-  const std::string cmd = std::string{RMAC_RUN_EXPERIMENT_BIN} + " " + args + " >/dev/null 2>&1";
-  const int status = std::system(cmd.c_str());
+int exit_code(const std::string& cmd) {
+  const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+int cli_exit_code(const std::string& args) {
+  return exit_code(std::string{RMAC_RUN_EXPERIMENT_BIN} + " " + args);
 }
 
 TEST(ExperimentConfigCheck, RejectsFewerThanTwoNodes) {
@@ -312,7 +316,7 @@ TEST(ExperimentConfigCheck, RejectsFewerThanTwoNodes) {
     ExperimentConfig c = runnable_config();
     c.num_nodes = nodes;
     EXPECT_NE(run_error(c).find("nodes must be >= 2"), std::string::npos) << nodes;
-    EXPECT_NE(spec_error(cat(R"({"nodes": )", nodes, "}")).find("nodes must be >= 2"),
+    EXPECT_NE(spec_parse_error(cat(R"({"nodes": )", nodes, "}")).find("nodes must be >= 2"),
               std::string::npos);
     EXPECT_EQ(cli_exit_code(cat("--nodes ", nodes)), 2);
   }
@@ -326,8 +330,8 @@ TEST(ExperimentConfigCheck, RejectsNonPositiveOrNonFiniteRate) {
     EXPECT_NE(run_error(c).find("rate must be"), std::string::npos) << rate;
   }
   // JSON has no inf/NaN; a bad rate anywhere in the list rejects the spec.
-  EXPECT_NE(spec_error(R"({"rates": [10, 0]})").find("rate must be"), std::string::npos);
-  EXPECT_NE(spec_error(R"({"rates": [-5]})").find("rate must be"), std::string::npos);
+  EXPECT_NE(spec_parse_error(R"({"rates": [10, 0]})").find("rate must be"), std::string::npos);
+  EXPECT_NE(spec_parse_error(R"({"rates": [-5]})").find("rate must be"), std::string::npos);
   EXPECT_EQ(cli_exit_code("--rate 0"), 2);
   EXPECT_EQ(cli_exit_code("--rate -5"), 2);
 }
@@ -336,8 +340,28 @@ TEST(ExperimentConfigCheck, RejectsZeroPackets) {
   ExperimentConfig c = runnable_config();
   c.num_packets = 0;
   EXPECT_NE(run_error(c).find("packets must be >= 1"), std::string::npos);
-  EXPECT_NE(spec_error(R"({"packets": 0})").find("packets must be >= 1"), std::string::npos);
+  EXPECT_NE(spec_parse_error(R"({"packets": 0})").find("packets must be >= 1"),
+            std::string::npos);
   EXPECT_EQ(cli_exit_code("--packets 0"), 2);
+}
+
+TEST(ExperimentConfigCheck, RunCampaignRejectsBadOverridesBeforeAnyCellRuns) {
+  // --nodes/--rates/--packets override the spec after it was checked; a bad
+  // value must still stop the campaign up front: exit 2, no store, no
+  // manifest.
+  const std::string dir = testing::TempDir() + "campaign_cli_check";
+  std::filesystem::remove_all(dir);
+  const std::string base = cat(RMAC_RUN_CAMPAIGN_BIN,
+                               " --protocols rmac --mobilities stationary --seeds 1"
+                               " --workers 0 --store ", dir, "/store --out ", dir, "/out");
+  for (const char* bad :
+       {"--rates 20 --nodes 1 --packets 5", "--rates 0 --nodes 20 --packets 5",
+        "--rates 20,0 --nodes 20 --packets 5", "--rates 20 --nodes 20 --packets 0"}) {
+    EXPECT_EQ(exit_code(cat(base, " ", bad)), 2) << bad;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // The same flags with good values pass the check.
+  EXPECT_EQ(exit_code(cat(base, " --rates 20 --nodes 20 --packets 5 --print-cells")), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Flight-recorder subsystem tests: journey correlation against a live
 // protocol run, time-series sampling (including ring wraparound), exporter
-// output structure, run manifests, streaming histograms, and the
+// output structure (the trace's channel / MAC-state counters carry every
+// sampled value), run manifests, streaming histograms, and the
 // no-observer-effect guarantee (attaching the recorder must not move the
 // golden trace digest).
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/timeseries.hpp"
 #include "scenario/experiment.hpp"
+#include "sim/json.hpp"
 #include "test_util.hpp"
 
 namespace rmacsim {
@@ -128,7 +130,6 @@ TEST(TimeSeries, SamplesBusynessAndStateCountsDuringTraffic) {
   }
   // A ~2.4 ms exchange inside a 100 ms window must register as busy time.
   EXPECT_GT(busy_peak, 0.0);
-  EXPECT_GT(ts.busy_hist().count(), 0u);
 }
 
 TEST(TimeSeries, RingWrapsAndKeepsNewestSamplesInOrder) {
@@ -183,7 +184,7 @@ TEST(StreamingHistogram, SaturatesOutOfRangeIntoEdgeBins) {
 
 // --- Exporters --------------------------------------------------------------
 
-TEST(Exporters, ChromeTraceAndJsonlAndCsvAreWellFormed) {
+TEST(Exporters, ChromeTraceCountersAndJsonlAreWellFormed) {
   TestNet net;
   FlightRecorder recorder{net.tracer()};
   TimeSeriesCollector::Config tc;
@@ -198,9 +199,9 @@ TEST(Exporters, ChromeTraceAndJsonlAndCsvAreWellFormed) {
   ts.stop();
 
   const std::string dir = testing::TempDir();
-  ASSERT_TRUE(write_chrome_trace(dir + "fr_trace.json", recorder, &ts));
+  const TimeSeriesCollector* series[] = {&ts};
+  ASSERT_TRUE(write_chrome_trace(dir + "fr_trace.json", recorder, series, /*mac_states=*/true));
   ASSERT_TRUE(write_journeys_jsonl(dir + "fr_journeys.jsonl", recorder));
-  ASSERT_TRUE(write_timeseries_csv(dir + "fr_ts.csv", ts, rmac_state_names()));
 
   const std::string trace = slurp(dir + "fr_trace.json");
   EXPECT_EQ(trace.rfind("{\"traceEvents\":[", 0), 0u);
@@ -215,10 +216,49 @@ TEST(Exporters, ChromeTraceAndJsonlAndCsvAreWellFormed) {
   EXPECT_NE(jsonl.find("\"kind\":\"tx-start\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"kind\":\"abt-pulse\""), std::string::npos);
 
-  const std::string csv = slurp(dir + "fr_ts.csv");
-  EXPECT_EQ(csv.rfind("t_s,busy_frac,active_tx,rbt_on,abt_on,queue_depth,"
-                      "state_IDLE", 0), 0u);
-  EXPECT_NE(csv.find('\n'), std::string::npos);
+  // Every sample lands on the one-shard counter track (pid 0) as a
+  // "channel" event with all five channel values and a "mac_state" event
+  // with one arg per RMAC state, in sample order.
+  const auto samples = ts.samples();
+  ASSERT_FALSE(samples.empty());
+  const JsonValue doc = JsonValue::parse(trace);
+  std::vector<const JsonValue*> channel;
+  std::vector<const JsonValue*> mac_state;
+  for (const JsonValue& ev : doc.at("traceEvents").array()) {
+    if (ev.at("ph").as_string() != "C") continue;
+    EXPECT_EQ(ev.at("pid").as_i64(), 0);
+    if (ev.at("name").as_string() == "channel") channel.push_back(&ev);
+    if (ev.at("name").as_string() == "mac_state") mac_state.push_back(&ev);
+  }
+  ASSERT_EQ(channel.size(), samples.size());
+  ASSERT_EQ(mac_state.size(), samples.size());
+  const char* const states[] = {"IDLE",   "BACKOFF", "WF_RBT",   "WF_RDATA",
+                                "WF_ABT", "TX_MRTS", "TX_RDATA", "TX_UNRDATA"};
+  std::uint64_t idle_seen = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const TimeSample& s = samples[i];
+    const JsonValue& ch = channel[i]->at("args");
+    EXPECT_DOUBLE_EQ(channel[i]->at("ts").as_number(), s.at.to_us());
+    EXPECT_EQ(ch.size(), 5u);
+    EXPECT_NEAR(ch.at("busy_frac").as_number(), s.busy_frac, 1e-8);
+    EXPECT_EQ(ch.at("active_tx").as_u64(), s.active_tx);
+    EXPECT_EQ(ch.at("rbt_on").as_u64(), s.rbt_on);
+    EXPECT_EQ(ch.at("abt_on").as_u64(), s.abt_on);
+    EXPECT_EQ(ch.at("queue_depth").as_u64(), s.queue_depth);
+    const JsonValue& ms = mac_state[i]->at("args");
+    ASSERT_EQ(ms.size(), kNumTrackedMacStates);
+    for (std::size_t k = 0; k < kNumTrackedMacStates; ++k) {
+      EXPECT_EQ(ms.at(states[k]).as_u64(), s.state_counts[k]) << states[k];
+    }
+    idle_seen += s.state_counts[0];
+  }
+  EXPECT_GT(idle_seen, 0u);
+
+  // Without mac_states (non-RMAC runs) only the channel track is written.
+  ASSERT_TRUE(write_chrome_trace(dir + "fr_trace_dcf.json", recorder, series));
+  const std::string dcf = slurp(dir + "fr_trace_dcf.json");
+  EXPECT_NE(dcf.find("\"name\":\"channel\""), std::string::npos);
+  EXPECT_EQ(dcf.find("\"name\":\"mac_state\""), std::string::npos);
 }
 
 TEST(Exporters, WritersFailCleanlyOnUnwritablePath) {

@@ -3,13 +3,18 @@
 // field (window counts, per-shard event totals, message mix, phantom
 // refreshes) is a pure function of (config, shards, partition), invisible to
 // the worker-thread count — the telemetry summary surfaced on
-// ExperimentResult, the exported artifacts (telemetry JSON, per-shard
-// time-series CSV, per-worker Perfetto tracks), and the progress heartbeat.
+// ExperimentResult, the exported artifacts (per-shard counter tracks,
+// per-window shard-load counters and per-worker tracks in the Perfetto
+// trace, rmacsim_shard_window_* series in the metrics snapshot, and a
+// manifest that indexes exactly the files written), and the progress
+// heartbeat.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -141,8 +146,10 @@ ExperimentConfig telemetry_config(std::uint64_t seed, ShardPartition part,
     c.shard_grid_rows = 2;
     c.shard_grid_cols = 2;
   }
-  c.obs.window_telemetry = true;
-  c.obs.out_dir.clear();  // in-memory: the summary is what we compare
+  // An in-memory metrics snapshot reads the telemetry, which turns it on;
+  // the summary on the result is what we compare.
+  c.metrics.enabled = true;
+  c.metrics.out_dir.clear();
   return c;
 }
 
@@ -197,10 +204,10 @@ TEST(WindowTelemetryDeterminism, MobileRunPinsPhantomRefreshCounts) {
 
 TEST(WindowTelemetryDeterminism, TelemetryIsObserverEffectFreeOnDigests) {
   ExperimentConfig c = telemetry_config(7, ShardPartition::kStripes, 2, 2);
-  c.obs.window_telemetry = false;
+  c.metrics.enabled = false;
   c.trace_digest = true;
   const ExperimentResult plain = run_experiment(c);
-  c.obs.window_telemetry = true;
+  c.metrics.enabled = true;
   const ExperimentResult instrumented = run_experiment(c);
   ASSERT_NE(plain.trace_digest, 0u);
   EXPECT_EQ(plain.trace_digest, instrumented.trace_digest);
@@ -211,55 +218,134 @@ TEST(WindowTelemetryDeterminism, TelemetryIsObserverEffectFreeOnDigests) {
 
 // --- experiment surfacing and artifact export --------------------------------
 
+// The counter events named `name` in a Chrome trace, in file order.
+std::vector<const JsonValue*> counters(const JsonValue& trace, const std::string& name) {
+  std::vector<const JsonValue*> out;
+  for (const JsonValue& ev : trace.at("traceEvents").array()) {
+    if (ev.at("ph").as_string() == "C" && ev.at("name").as_string() == name) {
+      out.push_back(&ev);
+    }
+  }
+  return out;
+}
+
+// The first series of a metrics-snapshot family whose labels include
+// `key=value` (any series when key is empty); null if absent.
+const JsonValue* metric_series(const JsonValue& metrics, const std::string& family,
+                               const std::string& key = "", const std::string& value = "") {
+  const JsonValue* fam = metrics.at("metrics").find(family);
+  if (fam == nullptr) return nullptr;
+  for (const JsonValue& series : fam->at("series").array()) {
+    const JsonValue* label = series.at("labels").find(key);
+    if (key.empty() || (label != nullptr && label->as_string() == value)) return &series;
+  }
+  return nullptr;
+}
+
 TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   // Regression for the --obs + --shards combination: sharded runs used to
-  // silently skip the time-series collector; now they must produce per-shard
-  // samples, a region-labeled CSV, worker tracks in the trace, and the
-  // telemetry JSON.
+  // silently skip the time-series collector.  Now every shard's samples land
+  // on that shard's own counter tracks, the window ring lands as per-window
+  // counters and worker tracks, and the totals land in the metrics snapshot.
   ExperimentConfig c = telemetry_config(5, ShardPartition::kGrid, 4, 4);
   c.obs.record = true;
   c.obs.out_dir = testing::TempDir() + "wt_export";
   c.obs.prefix = "wt";
+  c.metrics.out_dir = c.obs.out_dir;
+  c.metrics.prefix = "wt";
   const ExperimentResult r = run_experiment(c);
 
   EXPECT_GT(r.obs.samples, 0u);
-  ASSERT_FALSE(r.obs.timeseries_csv.empty());
-  const std::string csv = slurp(r.obs.timeseries_csv);
-  EXPECT_EQ(csv.rfind("shard,t_s,busy_frac,", 0), 0u);
-  EXPECT_NE(csv.find("\n0,"), std::string::npos);  // rows for shard 0
-  EXPECT_NE(csv.find("\n3,"), std::string::npos);  // ... through shard 3
+  ASSERT_FALSE(r.obs.trace_json.empty());
+  const JsonValue trace = JsonValue::parse(slurp(r.obs.trace_json));
+  ASSERT_TRUE(trace.is_object());
 
-  ASSERT_FALSE(r.obs.telemetry_json.empty());
-  const std::string tj = slurp(r.obs.telemetry_json);
-  EXPECT_EQ(tj.rfind("{\"schema\":\"rmacsim-window-telemetry-v1\"", 0), 0u);
-  EXPECT_NE(tj.find("\"per_shard\":"), std::string::npos);
-  EXPECT_NE(tj.find("\"speedup_bound\":"), std::string::npos);
-  EXPECT_NE(tj.find("\"partition\":\"grid\""), std::string::npos);
+  // One process track per shard ("shard s" on pid 4 + s), each carrying an
+  // equal share of the samples as channel and mac_state counters.
+  std::set<std::string> names;
+  for (const JsonValue& ev : trace.at("traceEvents").array()) {
+    if (ev.at("ph").as_string() == "M") names.insert(ev.at("args").at("name").as_string());
+  }
+  for (const char* n : {"shard 0", "shard 1", "shard 2", "shard 3", "workers", "worker 0"}) {
+    EXPECT_EQ(names.count(n), 1u) << n;
+  }
+  const auto channel = counters(trace, "channel");
+  EXPECT_EQ(channel.size(), r.obs.samples);
+  EXPECT_EQ(counters(trace, "mac_state").size(), r.obs.samples);
+  std::array<std::uint64_t, 4> per_shard{};
+  for (const JsonValue* ev : channel) {
+    const std::int64_t pid = ev->at("pid").as_i64();
+    ASSERT_GE(pid, 4);
+    ASSERT_LT(pid, 8);
+    ++per_shard[static_cast<std::size_t>(pid - 4)];
+    EXPECT_EQ(ev->at("args").size(), 5u);
+  }
+  for (const std::uint64_t n : per_shard) EXPECT_EQ(n, r.obs.samples / 4);
 
-  const std::string trace = slurp(r.obs.trace_json);
-  EXPECT_NE(trace.find("\"name\":\"workers\""), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"worker 0\""), std::string::npos);
-  EXPECT_NE(trace.find("window_width_us"), std::string::npos);
+  // Per retained window: one events arg and one busy arg per shard.  The
+  // ring holds every window of this short run, so the per-shard event
+  // columns sum to the totals on the result.
+  const auto shard_events = counters(trace, "shard_events");
+  const auto shard_busy = counters(trace, "shard_busy_ms");
+  ASSERT_EQ(shard_events.size(), r.shard.windows);
+  ASSERT_EQ(shard_busy.size(), r.shard.windows);
+  std::vector<std::uint64_t> events_sum(4, 0);
+  for (std::size_t i = 0; i < shard_events.size(); ++i) {
+    ASSERT_EQ(shard_events[i]->at("args").size(), 4u);
+    ASSERT_EQ(shard_busy[i]->at("args").size(), 4u);
+    for (std::size_t s = 0; s < 4; ++s) {
+      events_sum[s] += shard_events[i]->at("args").at(std::to_string(s)).as_u64();
+    }
+  }
+  EXPECT_EQ(events_sum, r.shard.window_events);
+  EXPECT_EQ(counters(trace, "window_width_us").size(), r.shard.windows);
+  const auto barriers = counters(trace, "barrier");
+  ASSERT_EQ(barriers.size(), r.shard.windows);
+  for (const JsonValue* ev : barriers) {
+    EXPECT_GT(ev->at("args").at("tau_ns").as_u64(), 0u);
+    EXPECT_NE(ev->at("args").find("phantom_refreshes"), nullptr);
+  }
 
-  const std::string manifest = slurp(r.obs.manifest_json);
-  EXPECT_NE(manifest.find("\"imbalance_busy\""), std::string::npos);
-  EXPECT_NE(manifest.find("\"windows_recorded\""), std::string::npos);
+  // Totals and distributions live in the metrics snapshot only.
+  ASSERT_FALSE(r.metrics.json_path.empty());
+  const JsonValue metrics = JsonValue::parse(slurp(r.metrics.json_path));
+  const JsonValue* bound =
+      metric_series(metrics, "rmacsim_shard_window_speedup_bound", "basis", "events");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_NEAR(bound->at("value").as_number(), r.shard.speedup_bound_events, 1e-8);
+  const JsonValue* shard0 =
+      metric_series(metrics, "rmacsim_shard_window_events_total", "shard", "0");
+  ASSERT_NE(shard0, nullptr);
+  EXPECT_EQ(shard0->at("labels").at("partition").as_string(), "grid");
+  EXPECT_EQ(shard0->at("value").as_u64(), r.shard.window_events[0]);
+  const JsonValue* widths = metric_series(metrics, "rmacsim_shard_window_width_us");
+  ASSERT_NE(widths, nullptr);
+  EXPECT_EQ(widths->at("count").as_u64(), r.shard.windows);
+
+  // The manifest indexes; it does not repeat the telemetry analytics.
+  const JsonValue manifest = JsonValue::parse(slurp(r.obs.manifest_json));
+  EXPECT_EQ(manifest.find("imbalance_busy"), nullptr);
+  EXPECT_EQ(manifest.find("windows_recorded"), nullptr);
+  EXPECT_EQ(manifest.at("metrics_json").as_string(), r.metrics.json_path);
 }
 
 TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
   // A one-shard run is the plain serial engine: no ShardSummary, no
   // rmacsim_shard_* series, no shard* manifest keys.  Two shards carry all
-  // three.
+  // three.  At both, the manifest is the exact index of the artifact
+  // directory: every path it lists exists, and no file is written unlisted.
   for (const unsigned shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const bool sharded = shards > 1;
     ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, shards, 1);
+    const std::string dir = testing::TempDir() + "shard_only_" + std::to_string(shards);
+    std::filesystem::remove_all(dir);
     c.obs.record = true;
-    c.obs.out_dir = testing::TempDir() + "shard_only_" + std::to_string(shards);
+    c.obs.out_dir = dir;
     c.obs.prefix = "so";
-    c.metrics.enabled = true;
     c.metrics.keep_json = true;
-    c.metrics.out_dir.clear();
+    c.metrics.out_dir = dir;
+    c.metrics.prefix = "so";
     const ExperimentResult r = run_experiment(c);
 
     EXPECT_EQ(r.shard.shards, sharded ? shards : 0u);
@@ -279,16 +365,31 @@ TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
       if (key.rfind("shard", 0) == 0) shard_keys = true;
     }
     EXPECT_EQ(shard_keys, sharded);
+
+    std::set<std::string> listed{std::filesystem::path(r.obs.manifest_json).filename()};
+    for (const char* key : {"trace_json", "journeys_jsonl", "metrics_text", "metrics_json"}) {
+      ASSERT_NE(manifest.find(key), nullptr) << key;
+      const std::filesystem::path path = manifest.at(key).as_string();
+      EXPECT_TRUE(std::filesystem::is_regular_file(path)) << path;
+      listed.insert(path.filename());
+    }
+    std::set<std::string> written;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      written.insert(entry.path().filename());
+    }
+    EXPECT_EQ(written, listed);
   }
 }
 
 TEST(WindowTelemetryExport, TelemetryOffLeavesSummaryAndPathsEmpty) {
   ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, 2, 1);
-  c.obs.window_telemetry = false;
+  c.metrics.enabled = false;
   const ExperimentResult r = run_experiment(c);
   EXPECT_FALSE(r.shard.telemetry);
   EXPECT_EQ(r.shard.window_events.size(), 0u);
-  EXPECT_TRUE(r.obs.telemetry_json.empty());
+  EXPECT_TRUE(r.obs.trace_json.empty());
+  EXPECT_TRUE(r.obs.manifest_json.empty());
+  EXPECT_TRUE(r.metrics.json_path.empty());
 }
 
 // --- progress heartbeat ------------------------------------------------------

@@ -13,8 +13,10 @@ usually enough to see *why* a packet was slow without re-running anything.
     python3 tools/journey_report.py out/run_journeys.jsonl --journey 12884901890
 
 `--check` validates a Chrome trace_event JSON file structurally (the format
-chrome://tracing and ui.perfetto.dev load) and exits 0/1; CI runs it against
-the quickstart trace so exporter regressions fail fast:
+chrome://tracing and ui.perfetto.dev load) and exits 0/1.  On a sharded
+trace (per-window "shard_events" counters, or "shard N" process tracks) it
+also requires a "channel" counter track on every shard's process.  CI runs
+it against the quickstart traces so exporter regressions fail fast:
 
     python3 tools/journey_report.py --check out/run_trace.json
 
@@ -126,6 +128,8 @@ def check_trace(path: str) -> int:
 
     phases: Counter = Counter()
     last_ts_per_track: dict[tuple, float] = {}
+    shard_pids: dict[str, int] = {}  # "shard N" process name -> pid
+    shards_in_windows: set[str] = set()  # shard_events arg keys
     for i, ev in enumerate(doc["traceEvents"]):
         where = f"traceEvents[{i}]"
         if not isinstance(ev, dict):
@@ -144,8 +148,11 @@ def check_trace(path: str) -> int:
         if ph == "M":
             if ev.get("name") not in ("process_name", "thread_name"):
                 err(f"{where}: metadata name must be process_name/thread_name")
-            if not isinstance(ev.get("args", {}).get("name"), str):
+            name = ev.get("args", {}).get("name")
+            if not isinstance(name, str):
                 err(f"{where}: metadata needs args.name")
+            elif ev["name"] == "process_name" and name.startswith("shard "):
+                shard_pids[name[len("shard "):]] = ev.get("pid")
             continue
         ts = ev.get("ts")
         if not isinstance(ts, (int, float)) or ts < 0:
@@ -168,12 +175,21 @@ def check_trace(path: str) -> int:
                 err(f"{where}: counter '{ev['name']}' ts went backwards "
                     f"({prev} -> {ts})")
             last_ts_per_track[track] = ts
+            if ev["name"] == "shard_events" and isinstance(sample, dict):
+                shards_in_windows.update(sample)
         elif ph == "i":
             if ev.get("s") not in ("t", "p", "g"):
                 err(f"{where}: instant needs scope 's' of t/p/g")
 
     if phases.get("X", 0) == 0:
         err("no complete ('X') slices — empty trace?")
+    # Sharded traces carry each shard's channel timeline on its own process.
+    for shard in sorted(shards_in_windows | set(shard_pids)):
+        pid = shard_pids.get(shard)
+        if pid is None:
+            err(f"shard {shard}: no 'shard {shard}' process track")
+        elif (pid, "channel") not in last_ts_per_track:
+            err(f"shard {shard}: no 'channel' counter track on pid {pid}")
 
     summary = ", ".join(f"{ph}:{n}" for ph, n in sorted(phases.items()))
     if errors:

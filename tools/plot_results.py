@@ -9,31 +9,33 @@ Produces one PNG per reproduced figure (7-13) in the paper's 3-panel layout
 when matplotlib is available; otherwise prints per-panel text tables so the
 tool remains useful on minimal machines.
 
-A second mode plots the flight recorder's channel time-series (written by
-`run_experiment --obs-dir` as <prefix>_timeseries.csv) as a single
+A second mode plots the flight recorder's channel timeline (the "channel"
+and "mac_state" counter tracks of the Perfetto trace written by
+`run_experiment --obs-dir` as <prefix>_trace.json) as a single
 fig_timeline.png — channel busy fraction, RBT/ABT tone occupancy, aggregate
 queue depth, and per-MAC-state node residency over simulated time:
 
-    python3 tools/plot_results.py --timeline out/run_timeseries.csv [outdir]
+    python3 tools/plot_results.py --timeline out/run_trace.json [outdir]
 
 A third mode plots the sharded engine's scaling curve from a bench report
 (tools/bench_report.py output) as fig_scaling.png — wall time and speedup of
 every BM_Sharded* sweep point over its serial baseline, with entries tagged
 `undersubscribed` (more worker threads than host CPUs) excluded from the
 speedup curve.  With --bound it also draws the critical-path achievable
-speedup measured by window telemetry, so the gap between "what we got" and
-"what the partition permits" is visible on one chart:
+speedup a sharded run measured (rmacsim_shard_window_speedup_bound in its
+metrics snapshot), so the gap between "what we got" and "what the partition
+permits" is visible on one chart:
 
     python3 tools/plot_results.py --scaling BENCH_core.json [outdir] \
-        [--bound out/run_telemetry.json]
+        [--bound out/run_metrics.json]
 
-A fourth mode plots the per-shard load profile from a window-telemetry JSON
-(written on sharded runs by `run_experiment --shards N --obs-dir DIR`) as
-fig_shard_load.png — per-shard busy time stacked over the retained window
-ring plus the per-window event share, the visual counterpart of
-tools/shard_report.py:
+A fourth mode plots the per-shard load profile from a sharded run's trace
+(the per-window "shard_events" and "shard_busy_ms" counters written by
+`run_experiment --shards N --obs-dir DIR`) as fig_shard_load.png — per-shard
+busy time stacked over the retained window ring plus the per-window event
+share, the visual counterpart of tools/shard_report.py:
 
-    python3 tools/plot_results.py --shard-load out/run_telemetry.json [outdir]
+    python3 tools/plot_results.py --shard-load out/run_trace.json [outdir]
 """
 import csv
 import json
@@ -208,54 +210,58 @@ def plot(rows, outdir):
     plot_drop_reasons(rows, outdir, plt)
 
 
-TIMELINE_COLUMNS = ["t_s", "busy_frac", "active_tx", "rbt_on", "abt_on",
+TIMELINE_COLUMNS = ["busy_frac", "active_tx", "rbt_on", "abt_on",
                     "queue_depth"]
 
 
+def trace_counters(path, names):
+    """name -> counter events of that name in a Perfetto trace, file order."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        sys.exit(f"{path}: {e}")
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
+        sys.exit(f"{path}: not a Chrome trace — expected <prefix>_trace.json "
+                 f"as written by `run_experiment --obs-dir`")
+    out = {n: [] for n in names}
+    for ev in doc["traceEvents"]:
+        if ev.get("ph") == "C" and ev.get("name") in out:
+            out[ev["name"]].append(ev)
+    return out
+
+
 def load_timeline(path):
-    """cols[name] -> list of floats; state columns collected separately."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        fields = reader.fieldnames or []
-        missing = [c for c in TIMELINE_COLUMNS if c not in fields]
-        if missing:
-            sys.exit(
-                f"{path}: missing column(s) {', '.join(missing)} — expected a "
-                f"flight-recorder time-series CSV as written by "
-                f"`run_experiment --obs-dir` (header: t_s,busy_frac,...), "
-                f"not a paper_sweep results CSV")
-        state_cols = [c for c in fields if c.startswith("state_")]
-        cols = {c: [] for c in TIMELINE_COLUMNS + state_cols}
-        # Sharded runs write one row group per shard (extra leading 'shard'
-        # column); fold them into one network-wide series per sample time —
-        # counts add, the busy fraction averages over shards.
-        sharded = "shard" in fields
-        by_time = defaultdict(list)
-        for row in reader:
-            if sharded:
-                by_time[float(row["t_s"])].append(row)
-            else:
-                for c in cols:
-                    cols[c].append(float(row[c]))
-        if sharded:
-            for t in sorted(by_time):
-                group = by_time[t]
-                cols["t_s"].append(t)
-                for c in cols:
-                    if c == "t_s":
-                        continue
-                    total = sum(float(r[c]) for r in group)
-                    cols[c].append(total / len(group) if c == "busy_frac"
-                                   else total)
-    if not cols["t_s"]:
-        sys.exit(f"{path}: no samples")
+    """cols[name] -> list of floats; MAC-state columns named separately."""
+    counters = trace_counters(path, ("channel", "mac_state"))
+    # Sharded runs write one channel track per shard; fold them into one
+    # network-wide series per sample time — counts add, the busy fraction
+    # averages over shards.
+    chan = defaultdict(list)
+    states = defaultdict(list)
+    for ev in counters["channel"]:
+        chan[ev["ts"]].append(ev["args"])
+    for ev in counters["mac_state"]:
+        states[ev["ts"]].append(ev["args"])
+    if not chan:
+        sys.exit(f"{path}: no channel counter samples")
+    state_cols = list(counters["mac_state"][0]["args"]) if states else []
+    cols = {c: [] for c in ["t_s"] + TIMELINE_COLUMNS + state_cols}
+    for ts in sorted(chan):
+        group = chan[ts]
+        cols["t_s"].append(ts / 1e6)
+        for c in TIMELINE_COLUMNS:
+            total = sum(a[c] for a in group)
+            cols[c].append(total / len(group) if c == "busy_frac" else total)
+        for c in state_cols:
+            cols[c].append(sum(a[c] for a in states[ts]))
     return cols, state_cols
 
 
 def timeline_text_report(cols, state_cols):
     n = len(cols["t_s"])
     print(f"{n} samples over {cols['t_s'][0]:.2f}..{cols['t_s'][-1]:.2f} s")
-    for c in TIMELINE_COLUMNS[1:] + state_cols:
+    for c in TIMELINE_COLUMNS + state_cols:
         vals = cols[c]
         print(f"  {c:<18} mean {statistics.fmean(vals):8.3f}  "
               f"max {max(vals):8.3f}")
@@ -289,8 +295,7 @@ def plot_timeline(path, outdir):
     axes[2].set_ylabel("aggregate queue depth")
 
     if state_cols:
-        labels = [c.removeprefix("state_") for c in state_cols]
-        axes[3].stackplot(t, [cols[c] for c in state_cols], labels=labels,
+        axes[3].stackplot(t, [cols[c] for c in state_cols], labels=state_cols,
                           alpha=0.85)
         axes[3].legend(loc="upper right", ncol=4, fontsize=8)
     axes[3].set_ylabel("nodes per MAC state")
@@ -307,32 +312,30 @@ def plot_timeline(path, outdir):
     return 0
 
 
-def load_telemetry(path):
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("schema") != "rmacsim-window-telemetry-v1":
-        sys.exit(f"{path}: not a window-telemetry JSON "
-                 f"(expected schema rmacsim-window-telemetry-v1)")
-    return doc
+def load_shard_load(path):
+    """Per-window shard load from a sharded trace's counters: window start
+    times (s), and per-shard rows of events and busy ms over the ring."""
+    counters = trace_counters(path, ("shard_events", "shard_busy_ms"))
+    windows = counters["shard_events"]
+    shards = sorted(windows[0]["args"], key=int) if windows else []
+    t = [ev["ts"] / 1e6 for ev in windows]
+    events = [[ev["args"][s] for ev in windows] for s in shards]
+    busy_ms = [[ev["args"][s] for ev in counters["shard_busy_ms"]] for s in shards]
+    return t, events, busy_ms
 
 
-def shard_load_text_report(doc):
-    total = max(1, doc["events"])
-    print(f"{doc['windows']} windows, {doc['shards']} shards "
-          f"(ring holds {len(doc['samples']['index'])})")
-    for s in doc["per_shard"]:
-        print(f"  shard {s['shard']}: {s['events']} events "
-              f"({s['events'] / total:.1%}), busy {s['busy_ns'] / 1e6:.1f} ms")
-    print(f"  imbalance busy {doc['imbalance']['busy']:.2f} / "
-          f"events {doc['imbalance']['events']:.2f}, "
-          f"speedup bound {doc['speedup_bound']['busy']:.2f}x")
+def shard_load_text_report(events, busy_ms):
+    total = max(1, sum(map(sum, events)))
+    print(f"{len(events[0])} retained windows, {len(events)} shards")
+    for s, (ev, busy) in enumerate(zip(events, busy_ms)):
+        print(f"  shard {s}: {sum(ev)} events ({sum(ev) / total:.1%}), "
+              f"busy {sum(busy):.1f} ms")
 
 
 def plot_shard_load(path, outdir):
-    doc = load_telemetry(path)
-    samples = doc.get("samples", {})
-    if not samples.get("index"):
-        print(f"{path}: telemetry ring is empty — nothing to plot",
+    t, events, busy_ms = load_shard_load(path)
+    if not t:
+        print(f"{path}: no shard_events counters — not a sharded run's trace",
               file=sys.stderr)
         return 1
     try:
@@ -341,27 +344,19 @@ def plot_shard_load(path, outdir):
         import matplotlib.pyplot as plt
     except ImportError:
         print("(matplotlib not available — text report instead)")
-        shard_load_text_report(doc)
+        shard_load_text_report(events, busy_ms)
         return 0
 
     outdir.mkdir(parents=True, exist_ok=True)
-    # X axis: window midpoint in simulated seconds, over the retained ring.
-    t = [(f + to) / 2e9 for f, to in zip(samples["from_ns"], samples["to_ns"])]
-    busy_ms = [[ns / 1e6 for ns in row] for row in samples["shard_busy_ns"]]
-    labels = [f"shard {i}" for i in range(doc["shards"])]
+    # X axis: window start in simulated seconds, over the retained ring.
+    labels = [f"shard {i}" for i in range(len(events))]
 
     fig, (ax_busy, ax_share) = plt.subplots(2, 1, figsize=(12, 7), sharex=True)
     ax_busy.stackplot(t, busy_ms, labels=labels, alpha=0.85)
     ax_busy.set_ylabel("advance wall time per window (ms)")
     ax_busy.legend(loc="upper right", ncol=4, fontsize=8)
-    ax_busy.set_title(
-        f"{doc.get('label', '')}  [{doc.get('partition', '?')}, "
-        f"{doc['shards']} shards] — imbalance "
-        f"busy {doc['imbalance']['busy']:.2f} / "
-        f"events {doc['imbalance']['events']:.2f}, "
-        f"bound {doc['speedup_bound']['busy']:.2f}x")
+    ax_busy.set_title(f"{len(events)} shards, last {len(t)} windows")
 
-    events = samples["shard_events"]
     totals = [max(1, sum(col)) for col in zip(*events)]
     shares = [[e / tot for e, tot in zip(row, totals)] for row in events]
     ax_share.stackplot(t, shares, labels=labels, alpha=0.85)
@@ -376,8 +371,20 @@ def plot_shard_load(path, outdir):
     fig.savefig(out, dpi=120)
     plt.close(fig)
     print(f"wrote {out}")
-    shard_load_text_report(doc)
+    shard_load_text_report(events, busy_ms)
     return 0
+
+
+def load_bound(path):
+    """Busy-basis critical-path speedup bound from a metrics snapshot."""
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    fam = doc.get("metrics", {}).get("rmacsim_shard_window_speedup_bound", {})
+    for series in fam.get("series", []):
+        if series["labels"].get("basis") == "busy":
+            return series["value"]
+    sys.exit(f"{path}: no rmacsim_shard_window_speedup_bound series — pass "
+             f"the metrics JSON of a sharded run")
 
 
 def load_scaling(path):
@@ -442,7 +449,7 @@ def plot_scaling(path, outdir, bound_path=None):
         return 1
     bound = None
     if bound_path:
-        bound = load_telemetry(bound_path)["speedup_bound"]["busy"]
+        bound = load_bound(bound_path)
     try:
         import matplotlib
         matplotlib.use("Agg")

@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Shard-load report from window-telemetry output.
+"""Shard-load report from a sharded run's metrics snapshot.
 
-Default mode reads a window-telemetry JSON dump (written by the experiment
-harness on sharded runs when ExperimentConfig::obs records telemetry, or by
-`run_experiment --shards N --obs-dir DIR`) and prints the per-shard load
-table, the worker execute/stall breakdown, the window-width distribution,
-and a partition recommendation: whether the measured imbalance suggests
-switching between stripes, grid, and RCB partitioners.
+Default mode reads the metrics JSON of a sharded run (written by
+`run_experiment --shards N --metrics-dir DIR` as <prefix>_metrics.json; the
+rmacsim_shard_window_* series hold the window telemetry) and prints the
+per-shard load table, the worker execute/stall breakdown, the window-width
+distribution, and a partition recommendation: whether the measured imbalance
+suggests switching between stripes, grid, and RCB partitioners.
 
-    python3 tools/shard_report.py out/run_telemetry.json
-    python3 tools/shard_report.py out/run_telemetry.json --top 10
+    python3 tools/shard_report.py out/run_metrics.json
+    python3 tools/shard_report.py out/run_metrics.json --top 10
 
-`--check` validates a telemetry JSON file structurally (schema marker,
-cross-field consistency, per-shard totals vs the window ring) and exits 0/1;
-CI runs it against the sharded quickstart artifact so exporter regressions
-fail fast:
+`--check` validates the snapshot's shard series for cross-field consistency
+(one events and one busy series per shard, one execute/stall pair per worker,
+messages by kind summing to the total, one width sample per window) and exits
+0/1; CI runs it against the sharded quickstart artifact so exporter
+regressions fail fast:
 
-    python3 tools/shard_report.py --check out/run_telemetry.json
+    python3 tools/shard_report.py --check out/run_metrics.json
+
+The per-window timelines (shard_events, shard_busy_ms, worker tracks) live in
+the run's Perfetto trace; `tools/plot_results.py --shard-load` plots them.
 
 Uses only the standard library.
 """
@@ -24,23 +28,116 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-SCHEMA = "rmacsim-window-telemetry-v1"
+# Message kinds in WindowTelemetry order.
+MSG_KINDS = ("tx_begin", "tx_abort", "tone_on", "tone_off")
 
-# Histogram summary keys the exporter writes for every distribution.
-HIST_KEYS = {"count", "mean", "min", "max", "p50", "p90", "p99"}
+
+def read(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("metrics"), dict):
+        raise ValueError("not a metrics snapshot (no 'metrics' object)")
+    return doc["metrics"]
+
+
+def series(metrics: dict, family: str) -> list[dict]:
+    fam = metrics.get(family)
+    return fam.get("series", []) if isinstance(fam, dict) else []
+
+
+def value(metrics: dict, family: str, **labels: str) -> float | None:
+    for s in series(metrics, family):
+        if all(s["labels"].get(k) == v for k, v in labels.items()):
+            return s.get("value")
+    return None
+
+
+def by_label(metrics: dict, family: str, label: str) -> dict[str, float]:
+    return {s["labels"].get(label): s.get("value") for s in series(metrics, family)}
+
+
+def percentile(h: dict, p: float) -> float:
+    """StreamingHistogram::percentile over an exported bin snapshot."""
+    count = h["count"]
+    if count == 0:
+        return 0.0
+    lo, hi, bins = h["lo"], h["hi"], h["bins"]
+    width = (hi - lo) / len(bins)
+    target = math.ceil(p / 100.0 * count)
+    seen = h["underflow"]
+    if target <= seen:
+        return lo
+    for i, n in enumerate(bins):
+        if n and target <= seen + n:
+            return lo + width * (i + (target - seen) / n)
+        seen += n
+    return hi
+
+
+def hist_summary(h: dict) -> dict:
+    """mean / p50 / p99 and an upper bound on max ('>' past the last bin)."""
+    count = h["count"]
+    last = max((i for i, n in enumerate(h["bins"]) if n), default=-1)
+    width = (h["hi"] - h["lo"]) / len(h["bins"])
+    if h["overflow"]:
+        max_txt = f">{h['hi']:.0f}"
+    else:
+        max_txt = f"<={h['lo'] + width * (last + 1):.0f}"
+    return {"count": count, "sum": h["sum"],
+            "mean": h["sum"] / count if count else 0.0,
+            "p50": percentile(h, 50), "p99": percentile(h, 99), "max": max_txt}
 
 
 def load(path: str) -> dict:
+    """The shard view of a metrics snapshot, or exit with the reason."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        m = read(path)
+    except (OSError, ValueError) as e:
         sys.exit(f"{path}: {e}")
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        sys.exit(f"{path}: not a {SCHEMA} document")
-    return doc
+    if value(m, "rmacsim_shard_count") is None:
+        sys.exit(f"{path}: no rmacsim_shard_* series — not a sharded run")
+    if not series(m, "rmacsim_shard_window_width_us"):
+        sys.exit(f"{path}: no rmacsim_shard_window_* series — the run recorded "
+                 f"no window telemetry")
+    events = by_label(m, "rmacsim_shard_window_events_total", "shard")
+    busy = by_label(m, "rmacsim_shard_window_busy_seconds", "shard")
+    nodes = by_label(m, "rmacsim_shard_nodes", "shard")
+    execute = by_label(m, "rmacsim_shard_window_worker_execute_seconds", "worker")
+    stall = by_label(m, "rmacsim_shard_window_worker_stall_seconds", "worker")
+    width = hist_summary(series(m, "rmacsim_shard_window_width_us")[0])
+    msgs_hist = hist_summary(series(m, "rmacsim_shard_window_messages")[0])
+    partitions = {s["labels"].get("partition")
+                  for s in series(m, "rmacsim_shard_nodes")}
+    return {
+        "partition": partitions.pop() if len(partitions) == 1 else "?",
+        "shards": int(value(m, "rmacsim_shard_count")),
+        "workers": len(execute),
+        "windows": int(value(m, "rmacsim_shard_windows_total") or 0),
+        "span_s": width["sum"] / 1e6,
+        "events": int(sum(events.values())),
+        "messages_total": int(value(m, "rmacsim_shard_messages_total") or 0),
+        "phantom_refreshes": int(
+            value(m, "rmacsim_shard_window_phantom_refreshes_total") or 0),
+        "messages": {k: int(value(m, "rmacsim_shard_window_messages_total", kind=k) or 0)
+                     for k in MSG_KINDS},
+        "imbalance": {b: value(m, "rmacsim_shard_window_imbalance", basis=b)
+                      for b in ("busy", "events")},
+        "speedup_bound": {b: value(m, "rmacsim_shard_window_speedup_bound", basis=b)
+                          for b in ("busy", "events")},
+        "per_shard": [{"shard": int(s), "events": int(events[s]),
+                       "busy_ns": busy.get(s, 0.0) * 1e9,
+                       "nodes": int(nodes[s]) if s in nodes else "?"}
+                      for s in sorted(events, key=int)],
+        "per_worker": [{"worker": int(w), "execute_ns": execute[w] * 1e9,
+                        "stall_ns": stall.get(w, 0.0) * 1e9}
+                       for w in sorted(execute, key=int)],
+        "worker_wait_ns": (value(m, "rmacsim_shard_window_worker_wait_seconds") or 0) * 1e9,
+        "window_width_us": width,
+        "messages_per_window": msgs_hist,
+    }
 
 
 def bar(frac: float, width: int = 24) -> str:
@@ -56,7 +153,7 @@ def recommend(doc: dict) -> list[str]:
     """Partition hint from the measured imbalance and message mix."""
     imb_ev = doc["imbalance"]["events"]
     imb_busy = doc["imbalance"]["busy"]
-    partition = doc.get("partition", "?")
+    partition = doc["partition"]
     shards = doc["shards"]
     msgs_per_window = doc["messages_per_window"]["mean"]
     lines: list[str] = []
@@ -94,19 +191,15 @@ def recommend(doc: dict) -> list[str]:
 
 
 def report(args: argparse.Namespace) -> int:
-    doc = load(args.telemetry)
-    label = doc.get("label", "")
-    grid = doc.get("shard_grid", "")
-    part = doc.get("partition", "?")
-    part_desc = f"{part} {grid}" if grid else part
-    print(f"{label}  [{part_desc}, {doc['shards']} shards, "
+    doc = load(args.metrics)
+    print(f"[{doc['partition']}, {doc['shards']} shards, "
           f"{doc['workers']} workers]")
     print(f"  {doc['windows']} windows over {doc['span_s']:.2f}s sim, "
           f"{doc['events']} events, {doc['messages_total']} cross-shard "
           f"messages, {doc['phantom_refreshes']} phantom refreshes")
     w = doc["window_width_us"]
     print(f"  window width: mean {w['mean']:.0f}us, p50 {w['p50']:.0f}us, "
-          f"p99 {w['p99']:.0f}us, max {w['max']:.0f}us")
+          f"p99 {w['p99']:.0f}us, max {w['max']}us")
     msgs = doc["messages"]
     print("  messages: " + ", ".join(f"{k} {v}" for k, v in msgs.items()))
     print()
@@ -114,13 +207,11 @@ def report(args: argparse.Namespace) -> int:
     # Per-shard load table, heaviest first.
     shards = sorted(doc["per_shard"], key=lambda s: s["events"], reverse=True)
     total_events = max(1, sum(s["events"] for s in shards))
-    counts = doc.get("node_counts", [])
     print(f"  {'shard':>5} {'nodes':>5} {'events':>12} {'share':>6} "
           f"{'busy':>12}  load")
     for s in shards[: args.top] if args.top else shards:
         frac = s["events"] / total_events
-        nodes = counts[s["shard"]] if s["shard"] < len(counts) else "?"
-        print(f"  {s['shard']:>5} {nodes:>5} {s['events']:>12} "
+        print(f"  {s['shard']:>5} {s['nodes']:>5} {s['events']:>12} "
               f"{frac:>6.1%} {fmt_ns(s['busy_ns'])}  {bar(frac)}")
     print(f"  imbalance: busy {doc['imbalance']['busy']:.2f}, "
           f"events {doc['imbalance']['events']:.2f} "
@@ -128,14 +219,14 @@ def report(args: argparse.Namespace) -> int:
     print()
 
     # Worker wall-clock breakdown: execute vs barrier stall vs plan wait.
-    wait_ns = doc.get("worker_wait_ns", 0)
     print(f"  {'worker':>6} {'execute':>12} {'stall':>12}  stall share")
     for pw in doc["per_worker"]:
         tot = pw["execute_ns"] + pw["stall_ns"]
         frac = pw["stall_ns"] / tot if tot else 0.0
         print(f"  {pw['worker']:>6} {fmt_ns(pw['execute_ns'])} "
               f"{fmt_ns(pw['stall_ns'])}  {frac:.1%} {bar(frac, 12)}")
-    print(f"  plan-phase wait (all workers idle): {fmt_ns(wait_ns).strip()}")
+    print(f"  plan-phase wait (all workers idle): "
+          f"{fmt_ns(doc['worker_wait_ns']).strip()}")
     print()
 
     print("  recommendation:")
@@ -145,7 +236,7 @@ def report(args: argparse.Namespace) -> int:
 
 
 def check(path: str) -> int:
-    """Structural validation of a window-telemetry JSON file."""
+    """Cross-field validation of a sharded run's metrics snapshot."""
     errors: list[str] = []
 
     def err(msg: str) -> None:
@@ -153,124 +244,98 @@ def check(path: str) -> int:
             errors.append(msg)
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        m = read(path)
+    except (OSError, ValueError) as e:
         print(f"FAIL {path}: {e}", file=sys.stderr)
         return 1
 
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        print(f"FAIL {path}: missing schema marker {SCHEMA!r}", file=sys.stderr)
-        return 1
+    def count(family: str, label: str | None = None) -> list[str]:
+        """Label values of a family's series; errors on bad values."""
+        out = []
+        for s in series(m, family):
+            v = s.get("value", s.get("count"))
+            if not isinstance(v, (int, float)) or v < 0:
+                err(f"{family}{s['labels']}: missing or negative value")
+            out.append(s["labels"].get(label) if label else "")
+        return out
 
-    for key in ("shards", "workers", "windows", "events", "messages_total",
-                "phantom_refreshes", "worker_wait_ns"):
-        if not isinstance(doc.get(key), int) or doc[key] < 0:
-            err(f"{key}: missing or not a non-negative integer")
-    for key in ("imbalance", "speedup_bound"):
-        d = doc.get(key)
-        if not isinstance(d, dict) or set(d) != {"busy", "events"}:
-            err(f"{key}: needs busy/events entries")
-    for key in ("window_width_us", "messages_per_window"):
-        d = doc.get(key)
-        if not isinstance(d, dict) or not HIST_KEYS <= set(d):
-            err(f"{key}: histogram summary needs {sorted(HIST_KEYS)}")
+    def expect_ids(family: str, label: str, n: int) -> None:
+        ids = count(family, label)
+        if sorted(ids) != [str(i) for i in range(n)]:
+            err(f"{family}: {label} series {sorted(ids)} != one per {label} "
+                f"0..{n - 1}")
+
+    shards = value(m, "rmacsim_shard_count")
+    threads = value(m, "rmacsim_shard_threads")
+    windows = value(m, "rmacsim_shard_windows_total")
+    total_msgs = value(m, "rmacsim_shard_messages_total")
+    for name, v in (("rmacsim_shard_count", shards),
+                    ("rmacsim_shard_threads", threads),
+                    ("rmacsim_shard_windows_total", windows),
+                    ("rmacsim_shard_messages_total", total_msgs)):
+        if not isinstance(v, (int, float)) or v < 0 or v != int(v):
+            err(f"{name}: missing or not a non-negative integer")
+    widths = series(m, "rmacsim_shard_window_width_us")
+    msgs_hist = series(m, "rmacsim_shard_window_messages")
+    if len(widths) != 1 or len(msgs_hist) != 1:
+        err("rmacsim_shard_window_width_us / _messages: need one histogram "
+            "each (no window telemetry recorded?)")
     if errors:
         print(f"FAIL {path}", file=sys.stderr)
         for e in errors:
             print(f"  {e}", file=sys.stderr)
         return 1
+    shards, threads, windows = int(shards), int(threads), int(windows)
 
-    nshards = doc["shards"]
-    per_shard = doc.get("per_shard", [])
-    if len(per_shard) != nshards:
-        err(f"per_shard: {len(per_shard)} entries for {nshards} shards")
-    shard_event_sum = 0
-    for i, s in enumerate(per_shard):
-        if not isinstance(s, dict) or s.get("shard") != i:
-            err(f"per_shard[{i}]: out of order or malformed")
-            continue
-        if not isinstance(s.get("events"), int) or s["events"] < 0:
-            err(f"per_shard[{i}]: bad events")
-        if not isinstance(s.get("busy_ns"), int) or s["busy_ns"] < 0:
-            err(f"per_shard[{i}]: bad busy_ns")
-        shard_event_sum += s.get("events", 0)
-    # Totals accumulate every window (the ring only bounds samples), so the
-    # per-shard breakdown must sum exactly to the recorded event total.
-    if shard_event_sum != doc["events"]:
-        err(f"per-shard events sum {shard_event_sum} != total {doc['events']}")
+    expect_ids("rmacsim_shard_nodes", "shard", shards)
+    expect_ids("rmacsim_shard_window_events_total", "shard", shards)
+    expect_ids("rmacsim_shard_window_busy_seconds", "shard", shards)
+    expect_ids("rmacsim_shard_window_worker_execute_seconds", "worker", threads)
+    expect_ids("rmacsim_shard_window_worker_stall_seconds", "worker", threads)
 
-    per_worker = doc.get("per_worker", [])
-    if len(per_worker) != doc["workers"]:
-        err(f"per_worker: {len(per_worker)} entries for "
-            f"{doc['workers']} workers")
-    for i, pw in enumerate(per_worker):
-        if not isinstance(pw, dict) or pw.get("worker") != i:
-            err(f"per_worker[{i}]: out of order or malformed")
-        elif any(not isinstance(pw.get(k), int) or pw[k] < 0
-                 for k in ("execute_ns", "stall_ns")):
-            err(f"per_worker[{i}]: bad execute_ns/stall_ns")
-
-    kinds_sum = sum(doc.get("messages", {}).values())
-    if kinds_sum != doc["messages_total"]:
+    kinds = count("rmacsim_shard_window_messages_total", "kind")
+    if any(k not in MSG_KINDS for k in kinds) or len(set(kinds)) != len(kinds):
+        err(f"rmacsim_shard_window_messages_total: bad kinds {kinds}")
+    kinds_sum = sum(s["value"] for s in series(m, "rmacsim_shard_window_messages_total"))
+    if kinds_sum != total_msgs:
         err(f"messages by kind sum {kinds_sum} != "
-            f"messages_total {doc['messages_total']}")
+            f"rmacsim_shard_messages_total {total_msgs}")
 
-    samples = doc.get("samples")
-    ring = 0
-    if not isinstance(samples, dict):
-        err("samples: missing object")
-    else:
-        ring = len(samples.get("index", []))
-        if ring > doc["windows"]:
-            err(f"samples: ring holds {ring} windows but only "
-                f"{doc['windows']} ran")
-        for key in ("index", "from_ns", "to_ns", "tau_ns", "events",
-                    "messages_total", "phantom_refreshes"):
-            col = samples.get(key)
-            if not isinstance(col, list) or len(col) != ring:
-                err(f"samples.{key}: length != {ring}")
-        for key in ("shard_events", "shard_busy_ns"):
-            rows = samples.get(key)
-            if not isinstance(rows, list) or len(rows) != nshards:
-                err(f"samples.{key}: needs one row per shard")
-            elif any(len(r) != ring for r in rows):
-                err(f"samples.{key}: row length != {ring}")
-        idx = samples.get("index", [])
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            err("samples.index: not strictly increasing")
-        froms, tos = samples.get("from_ns", []), samples.get("to_ns", [])
-        if any(t < f for f, t in zip(froms, tos)):
-            err("samples: window with to_ns < from_ns")
-
-    hist_count = doc["window_width_us"]["count"]
-    if hist_count != doc["windows"]:
-        err(f"window_width_us.count {hist_count} != windows {doc['windows']}")
+    for name, h in (("rmacsim_shard_window_width_us", widths[0]),
+                    ("rmacsim_shard_window_messages", msgs_hist[0])):
+        if h["count"] != windows:
+            err(f"{name}: count {h['count']} != windows {windows}")
+        if sum(h["bins"]) + h["underflow"] + h["overflow"] != h["count"]:
+            err(f"{name}: bins + underflow + overflow != count")
+    for basis in ("busy", "events"):
+        for fam in ("rmacsim_shard_window_imbalance",
+                    "rmacsim_shard_window_speedup_bound"):
+            if value(m, fam, basis=basis) is None:
+                err(f"{fam}: missing basis={basis}")
 
     if errors:
         print(f"FAIL {path}", file=sys.stderr)
         for e in errors:
             print(f"  {e}", file=sys.stderr)
         return 1
-    print(f"OK {path}: {doc['windows']} windows, {nshards} shards, "
-          f"{doc['workers']} workers, ring {ring}")
+    print(f"OK {path}: {windows} windows, {shards} shards, {threads} workers")
     return 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("telemetry", nargs="?",
-                        help="window-telemetry JSON file to report on")
+    parser.add_argument("metrics", nargs="?",
+                        help="metrics JSON of a sharded run to report on")
     parser.add_argument("--top", type=int, default=0, metavar="N",
                         help="show only the N heaviest shards (default: all)")
-    parser.add_argument("--check", metavar="TELEMETRY_JSON",
-                        help="validate a telemetry JSON file and exit")
+    parser.add_argument("--check", metavar="METRICS_JSON",
+                        help="validate a sharded run's metrics JSON and exit")
     args = parser.parse_args()
 
     if args.check:
         return check(args.check)
-    if not args.telemetry:
+    if not args.metrics:
         parser.print_help()
         return 2
     return report(args)
