@@ -23,6 +23,7 @@
 #include "campaign/coordinator.hpp"
 #include "campaign/revision.hpp"
 #include "campaign/spec.hpp"
+#include "cli_number.hpp"
 
 using namespace rmacsim;
 
@@ -133,31 +134,26 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--rates") {
       spec.rates.clear();
-      for (const auto& tok : split_csv(next())) spec.rates.push_back(std::atof(tok.c_str()));
+      for (const auto& tok : split_csv(next())) {
+        spec.rates.push_back(cli::number<double>(arg, tok));
+      }
     } else if (arg == "--seeds") {
       spec.seeds.clear();
       for (const auto& tok : split_csv(next())) {
-        spec.seeds.push_back(static_cast<std::uint64_t>(std::atoll(tok.c_str())));
+        spec.seeds.push_back(cli::number<std::uint64_t>(arg, tok));
       }
     } else if (arg == "--nodes") {
-      spec.base.num_nodes = static_cast<unsigned>(std::atoi(next()));
+      spec.base.num_nodes = cli::number<unsigned>(arg, next());
     } else if (arg == "--packets") {
-      spec.base.num_packets = static_cast<std::uint32_t>(std::atoi(next()));
+      spec.base.num_packets = cli::number<std::uint32_t>(arg, next());
     } else if (arg == "--payload") {
-      spec.base.payload_bytes = static_cast<std::size_t>(std::atoll(next()));
+      spec.base.payload_bytes = cli::number<std::size_t>(arg, next());
     } else if (arg == "--area") {
-      double w = 0.0;
-      double h = 0.0;
-      if (std::sscanf(next(), "%lfx%lf", &w, &h) != 2 || w <= 0.0 || h <= 0.0) {
-        std::fprintf(stderr, "error: --area expects WxH in metres, e.g. 500x300\n");
-        return 2;
-      }
-      spec.base.area.width = w;
-      spec.base.area.height = h;
+      spec.base.area = cli::area(arg, next());
     } else if (arg == "--shards") {
-      spec.base.shards = static_cast<unsigned>(std::atoi(next()));
+      spec.base.shards = cli::number<unsigned>(arg, next());
     } else if (arg == "--workers") {
-      opts.workers = static_cast<unsigned>(std::atoi(next()));
+      opts.workers = cli::number<unsigned>(arg, next());
     } else if (arg == "--store") {
       opts.store_dir = next();
     } else if (arg == "--out") {
@@ -167,19 +163,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--worker-bin") {
       opts.worker_binary = next();
     } else if (arg == "--heartbeat") {
-      opts.heartbeat_interval_s = std::atof(next());
+      opts.heartbeat_interval_s = cli::number<double>(arg, next());
     } else if (arg == "--status-interval") {
-      opts.status_interval_s = std::atof(next());
+      opts.status_interval_s = cli::number<double>(arg, next());
     } else if (arg == "--timeout") {
-      opts.worker_timeout_s = std::atof(next());
+      opts.worker_timeout_s = cli::number<double>(arg, next());
     } else if (arg == "--retries") {
-      opts.max_attempts = static_cast<unsigned>(std::atoi(next()));
+      opts.max_attempts = cli::number<unsigned>(arg, next());
     } else if (arg == "--progress") {
       opts.progress = true;
     } else if (arg == "--force") {
       opts.force = true;
     } else if (arg == "--inject-kill") {
-      opts.inject_kill_cell = static_cast<unsigned>(std::atoi(next()));
+      opts.inject_kill_cell = cli::number<unsigned>(arg, next());
     } else if (arg == "--print-cells") {
       print_cells = true;
     } else {

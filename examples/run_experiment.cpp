@@ -41,11 +41,13 @@
 // stdout — see docs/campaign.md.  --worker-heartbeat sets the frame cadence.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "campaign/worker.hpp"
+#include "cli_number.hpp"
 #include "scenario/experiment.hpp"
 
 using namespace rmacsim;
@@ -99,23 +101,14 @@ ShardPartition parse_partition(const std::string& s) {
 // Parse "RxC" (e.g. "2x4", also accepting 'X'); both factors must be >= 1.
 void parse_grid(const std::string& s, unsigned& rows, unsigned& cols) {
   const std::size_t x = s.find_first_of("xX");
-  char* end = nullptr;
-  long r = 0;
-  long c = 0;
-  if (x != std::string::npos && x > 0 && x + 1 < s.size()) {
-    r = std::strtol(s.c_str(), &end, 10);
-    const bool r_ok = end == s.c_str() + x;
-    c = std::strtol(s.c_str() + x + 1, &end, 10);
-    if (r_ok && *end == '\0' && r >= 1 && c >= 1) {
-      rows = static_cast<unsigned>(r);
-      cols = static_cast<unsigned>(c);
-      return;
-    }
+  const std::string_view v{s};
+  if (x == std::string::npos || !cli::parse(v.substr(0, x), rows) ||
+      !cli::parse(v.substr(x + 1), cols) || rows < 1 || cols < 1) {
+    std::fprintf(stderr,
+                 "error: bad --shard-grid '%s' (expected RxC with R,C >= 1, e.g. 2x4)\n",
+                 s.c_str());
+    std::exit(2);
   }
-  std::fprintf(stderr,
-               "error: bad --shard-grid '%s' (expected RxC with R,C >= 1, e.g. 2x4)\n",
-               s.c_str());
-  std::exit(2);
 }
 
 }  // namespace
@@ -136,37 +129,29 @@ int main(int argc, char** argv) {
     if (arg == "--worker") {
       worker_canonical = next();
     } else if (arg == "--worker-heartbeat") {
-      worker_opts.heartbeat_interval_s = std::atof(next());
+      worker_opts.heartbeat_interval_s = cli::number<double>(arg, next());
     } else if (arg == "--protocol") {
       c.protocol = parse_protocol(next(), argv[0]);
     } else if (arg == "--mobility") {
       c.mobility = parse_mobility(next(), argv[0]);
     } else if (arg == "--rate") {
-      c.rate_pps = std::atof(next());
+      c.rate_pps = cli::number<double>(arg, next());
     } else if (arg == "--packets") {
-      c.num_packets = static_cast<std::uint32_t>(std::atoi(next()));
+      c.num_packets = cli::number<std::uint32_t>(arg, next());
     } else if (arg == "--seed") {
-      c.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      c.seed = cli::number<std::uint64_t>(arg, next());
     } else if (arg == "--nodes") {
-      c.num_nodes = static_cast<unsigned>(std::atoi(next()));
+      c.num_nodes = cli::number<unsigned>(arg, next());
     } else if (arg == "--payload") {
-      c.payload_bytes = static_cast<std::size_t>(std::atoll(next()));
+      c.payload_bytes = cli::number<std::size_t>(arg, next());
     } else if (arg == "--area") {
-      const char* spec = next();
-      double w = 0.0;
-      double h = 0.0;
-      if (std::sscanf(spec, "%lfx%lf", &w, &h) != 2 || w <= 0.0 || h <= 0.0) {
-        std::fprintf(stderr, "error: --area expects WxH in metres, e.g. 500x300\n");
-        return 2;
-      }
-      c.area.width = w;
-      c.area.height = h;
+      c.area = cli::area(arg, next());
     } else if (arg == "--ber") {
-      c.phy.bit_error_rate = std::atof(next());
+      c.phy.bit_error_rate = cli::number<double>(arg, next());
     } else if (arg == "--capture") {
-      c.phy.capture_ratio = std::atof(next());
+      c.phy.capture_ratio = cli::number<double>(arg, next());
     } else if (arg == "--queue-limit") {
-      c.mac.queue_limit = static_cast<std::size_t>(std::atoll(next()));
+      c.mac.queue_limit = cli::number<std::size_t>(arg, next());
     } else if (arg == "--no-rbt") {
       c.rbt_protection = false;
     } else if (arg == "--audit") {
@@ -188,12 +173,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--profile") {
       c.profile = true;
     } else if (arg == "--shards") {
-      c.shards = static_cast<unsigned>(std::atoi(next()));
+      c.shards = cli::number<unsigned>(arg, next());
       shards_explicit = true;
     } else if (arg == "--shard-threads") {
-      c.shard_threads = static_cast<unsigned>(std::atoi(next()));
+      c.shard_threads = cli::number<unsigned>(arg, next());
     } else if (arg == "--lookahead-us") {
-      c.shard_lookahead_floor = SimTime::us(std::atoll(next()));
+      c.shard_lookahead_floor = SimTime::us(cli::number<std::int64_t>(
+          arg, next(), 0, std::numeric_limits<std::int64_t>::max() / 1000));
     } else if (arg == "--shard-partition") {
       c.shard_partition = parse_partition(next());
     } else if (arg == "--shard-grid") {
@@ -203,7 +189,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-pin") {
       c.shard_pin_workers = true;
     } else if (arg == "--progress") {
-      c.progress.interval_s = std::atof(next());
+      c.progress.interval_s = cli::number<double>(arg, next());
     } else {
       usage(argv[0]);
     }

@@ -1,7 +1,5 @@
 #include "mac/bmmm/bmmm_protocol.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace rmacsim {
@@ -10,85 +8,8 @@ BmmmProtocol::BmmmProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParam
                            Tracer* tracer)
     : Dot11Base{scheduler, radio, rng, params, tracer} {}
 
-void BmmmProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
-  if (!queue_admit(params_)) {
-    ReliableSendResult r;
-    r.packet = std::move(packet);
-    r.failed_receivers = std::move(receivers);
-    r.receivers = r.failed_receivers;
-    r.drop_reason = DropReason::kQueueOverflow;
-    report_done(r);
-    return;
-  }
-  TxRequest req;
-  req.reliable = true;
-  req.packet = std::move(packet);
-  req.receivers = std::move(receivers);
-  ++stats_.reliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void BmmmProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void BmmmProtocol::maybe_start() {
-  if (phase_ != Phase::kIdle && phase_ != Phase::kContend) return;
-  if (!active_.has_value()) {
-    if (queue_.empty()) return;
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  set_phase(Phase::kContend);
-  contend();
-}
-
-void BmmmProtocol::on_contention_won() {
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      set_phase(Phase::kIdle);
-      return;
-    }
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  if (!active_->req.reliable) {
-    // Unreliable service: plain 802.11 broadcast, one shot.
-    if (!transmit_now(make_data80211(id(), active_->req.dest, {}, active_->req.packet,
-                                     active_->req.packet->seq, SimTime::zero()))) {
-      set_phase(Phase::kContend);
-      post_tx_backoff();
-    }
-    return;
-  }
-  begin_round();
-}
-
-void BmmmProtocol::begin_round() {
-  Active& a = *active_;
+void BmmmProtocol::start_reliable() {
+  Active& a = active_;
   ++a.rounds;
   if (a.rounds > 1) ++stats_.retransmissions;
   a.responded.clear();
@@ -100,7 +21,7 @@ void BmmmProtocol::begin_round() {
 
 SimTime BmmmProtocol::remaining_batch_time(std::size_t rts_left, bool data_left,
                                            std::size_t rak_left) const {
-  const std::size_t payload = active_->req.packet->payload_bytes;
+  const std::size_t payload = request().packet->payload_bytes;
   SimTime t = SimTime::zero();
   const SimTime pair_rts = phy_.sifs + airtime_bytes(kCtsBytes) + phy_.sifs;
   const SimTime pair_rak = phy_.sifs + airtime_bytes(kAckBytes) + phy_.sifs;
@@ -113,19 +34,19 @@ SimTime BmmmProtocol::remaining_batch_time(std::size_t rts_left, bool data_left,
 }
 
 void BmmmProtocol::send_rts(std::size_t index) {
-  Active& a = *active_;
+  Active& a = active_;
   a.index = index;
   const NodeId dest = a.remaining[index];
   const SimTime nav = remaining_batch_time(a.remaining.size() - index - 1, true,
                                            a.remaining.size()) +
                       phy_.sifs + airtime_bytes(kCtsBytes);
-  FramePtr rts = make_rts(id(), dest, nav, a.req.packet->journey);
+  FramePtr rts = make_rts(id(), dest, nav, request().packet->journey);
   count_control_tx(*rts);
   if (!transmit_now(std::move(rts))) round_failed();
 }
 
-void BmmmProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
-  if (!active_.has_value()) return;
+void BmmmProtocol::on_sent(const FramePtr& frame) {
+  if (!serving()) return;
   switch (frame->type) {
     case FrameType::kRts:
       timeout_ = scheduler_.schedule_in(
@@ -133,17 +54,9 @@ void BmmmProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/)
           [this] { on_cts_timeout(); });
       return;
     case FrameType::kData80211:
-      if (!active_->req.reliable) {
-        // Unreliable broadcast finished.
-        active_.reset();
-        set_phase(Phase::kIdle);
-        post_tx_backoff();
-        maybe_start();
-        return;
-      }
       stats_.reliable_data_tx_time += airtime(*frame);
       set_phase(Phase::kRakAck);
-      active_->index = 0;
+      active_.index = 0;
       scheduler_.schedule_in(phy_.sifs, [this] { send_rak(0); });
       return;
     case FrameType::kRak:
@@ -164,7 +77,7 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
       // of the *same* exchange (the preceding CTSs cover the whole batch), so
       // gating on it would silence every receiver after the first.  A node
       // mid-batch of its own, however, stays with its own exchange.
-      if (phase_ != Phase::kIdle && phase_ != Phase::kContend) return;
+      if (!idle_or_contending()) return;
       FramePtr cts = make_cts(id(), frame->transmitter,
                               frame->duration - phy_.sifs - airtime_bytes(kCtsBytes),
                               /*seq=*/0, frame->journey);
@@ -173,14 +86,14 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kCts:
-      if (phase_ == Phase::kRtsCts && active_.has_value() &&
-          frame->transmitter == active_->remaining[active_->index]) {
+      if (phase() == Phase::kRtsCts && serving() &&
+          frame->transmitter == active_.remaining[active_.index]) {
         scheduler_.cancel(timeout_);
         timeout_ = kInvalidEvent;
-        active_->responded.insert(frame->transmitter);
-        scheduler_.schedule_in(phy_.sifs, [this, next = active_->index + 1] {
-          if (active_.has_value() && phase_ == Phase::kRtsCts) {
-            if (next < active_->remaining.size()) {
+        active_.responded.insert(frame->transmitter);
+        scheduler_.schedule_in(phy_.sifs, [this, next = active_.index + 1] {
+          if (serving() && phase() == Phase::kRtsCts) {
+            if (next < active_.remaining.size()) {
               send_rts(next);
             } else {
               after_rts_phase();
@@ -200,7 +113,7 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
         return;
       }
       if (remember_data(frame->transmitter, frame->seq)) deliver_up(*frame);
-      if (frame->dest == id() && (phase_ == Phase::kIdle || phase_ == Phase::kContend)) {
+      if (frame->dest == id() && idle_or_contending()) {
         FramePtr ack = make_ack(id(), frame->transmitter, frame->seq, frame->journey);
         count_control_tx(*ack);
         respond_after_sifs(std::move(ack));
@@ -210,7 +123,7 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
     case FrameType::kRak: {
       // Request-for-ACK: acknowledge iff we hold the referenced data frame
       // and are not mid-batch ourselves.
-      if (phase_ != Phase::kIdle && phase_ != Phase::kContend) return;
+      if (!idle_or_contending()) return;
       if (have_data(frame->transmitter, frame->seq)) {
         FramePtr ack = make_ack(id(), frame->transmitter, frame->seq, frame->journey);
         count_control_tx(*ack);
@@ -219,14 +132,14 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kAck:
-      if (phase_ == Phase::kRakAck && active_.has_value() &&
-          frame->transmitter == active_->remaining[active_->index]) {
+      if (phase() == Phase::kRakAck && serving() &&
+          frame->transmitter == active_.remaining[active_.index]) {
         scheduler_.cancel(timeout_);
         timeout_ = kInvalidEvent;
-        active_->acked.insert(frame->transmitter);
-        scheduler_.schedule_in(phy_.sifs, [this, next = active_->index + 1] {
-          if (active_.has_value() && phase_ == Phase::kRakAck) {
-            if (next < active_->remaining.size()) {
+        active_.acked.insert(frame->transmitter);
+        scheduler_.schedule_in(phy_.sifs, [this, next = active_.index + 1] {
+          if (serving() && phase() == Phase::kRakAck) {
+            if (next < active_.remaining.size()) {
               send_rak(next);
             } else {
               conclude_round();
@@ -242,9 +155,9 @@ void BmmmProtocol::handle_frame(const FramePtr& frame) {
 
 void BmmmProtocol::on_cts_timeout() {
   timeout_ = kInvalidEvent;
-  if (!active_.has_value() || phase_ != Phase::kRtsCts) return;
-  const std::size_t next = active_->index + 1;
-  if (next < active_->remaining.size()) {
+  if (!serving() || phase() != Phase::kRtsCts) return;
+  const std::size_t next = active_.index + 1;
+  if (next < active_.remaining.size()) {
     send_rts(next);
   } else {
     after_rts_phase();
@@ -252,7 +165,7 @@ void BmmmProtocol::on_cts_timeout() {
 }
 
 void BmmmProtocol::after_rts_phase() {
-  Active& a = *active_;
+  Active& a = active_;
   if (a.responded.empty()) {
     // Nobody reserved the channel: round failed before the data frame.
     round_failed();
@@ -260,28 +173,29 @@ void BmmmProtocol::after_rts_phase() {
   }
   set_phase(Phase::kData);
   const SimTime nav = remaining_batch_time(0, false, a.remaining.size());
-  if (!transmit_now(make_data80211(id(), kInvalidNode, a.remaining, a.req.packet,
-                                   a.req.packet->seq, nav))) {
+  const TxRequest& req = request();
+  if (!transmit_now(make_data80211(id(), kInvalidNode, a.remaining, req.packet,
+                                   req.packet->seq, nav))) {
     round_failed();
   }
 }
 
 void BmmmProtocol::send_rak(std::size_t index) {
-  Active& a = *active_;
+  Active& a = active_;
   a.index = index;
   const SimTime nav = remaining_batch_time(0, false, a.remaining.size() - index - 1) +
                       phy_.sifs + airtime_bytes(kAckBytes);
-  FramePtr rak = make_rak(id(), a.remaining[index], a.req.packet->seq, nav,
-                          a.req.packet->journey);
+  FramePtr rak = make_rak(id(), a.remaining[index], request().packet->seq, nav,
+                          request().packet->journey);
   count_control_tx(*rak);
   if (!transmit_now(std::move(rak))) round_failed();
 }
 
 void BmmmProtocol::on_ack_timeout() {
   timeout_ = kInvalidEvent;
-  if (!active_.has_value() || phase_ != Phase::kRakAck) return;
-  const std::size_t next = active_->index + 1;
-  if (next < active_->remaining.size()) {
+  if (!serving() || phase() != Phase::kRakAck) return;
+  const std::size_t next = active_.index + 1;
+  if (next < active_.remaining.size()) {
     send_rak(next);
   } else {
     conclude_round();
@@ -289,13 +203,13 @@ void BmmmProtocol::on_ack_timeout() {
 }
 
 void BmmmProtocol::conclude_round() {
-  Active& a = *active_;
+  Active& a = active_;
   std::vector<NodeId> failed;
   for (NodeId r : a.remaining) {
     if (!a.acked.contains(r)) failed.push_back(r);
   }
   if (failed.empty()) {
-    finish(/*success=*/true);
+    finish(/*success=*/true, a.rounds, {});
     return;
   }
   a.remaining = std::move(failed);
@@ -303,44 +217,7 @@ void BmmmProtocol::conclude_round() {
 }
 
 void BmmmProtocol::round_failed() {
-  Active& a = *active_;
-  if (a.rounds > params_.retry_limit) {
-    finish(/*success=*/false);
-    return;
-  }
-  bump_cw();
-  set_phase(Phase::kContend);
-  backoff_.draw(cw_);
-  contend();
-}
-
-void BmmmProtocol::finish(bool success) {
-  assert(active_.has_value());
-  ReliableSendResult result;
-  result.packet = active_->req.packet;
-  result.success = success;
-  result.transmissions = active_->rounds;
-  result.receivers = active_->req.receivers;
-  if (success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-    result.failed_receivers = active_->remaining;
-    result.drop_reason = DropReason::kRetryExhausted;
-  }
-  active_.reset();
-  reset_cw();
-  set_phase(Phase::kIdle);
-  report_done(result);
-  post_tx_backoff();
-  maybe_start();
-}
-
-void BmmmProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
+  retry_or_drop(active_.rounds, active_.remaining);
 }
 
 }  // namespace rmacsim

@@ -9,7 +9,6 @@
 // overhead (§2) — reproduced by bench/control_overhead.
 #pragma once
 
-#include <optional>
 #include <unordered_set>
 
 #include "mac/dcf/dot11_base.hpp"
@@ -21,20 +20,13 @@ public:
   BmmmProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params = MacParams{},
                Tracer* tracer = nullptr);
 
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] std::string name() const override { return "BMMM"; }
 
-  void on_transmit_complete(const FramePtr& frame, bool aborted) override;
-
   enum class Phase : std::uint8_t { kIdle, kContend, kRtsCts, kData, kRakAck };
-  [[nodiscard]] Phase phase() const noexcept { return phase_; }
-
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
+  [[nodiscard]] Phase phase() const noexcept { return static_cast<Phase>(mac_state()); }
 
 private:
   struct Active {
-    TxRequest req;
     std::vector<NodeId> remaining;          // receivers not yet ACKed (across rounds)
     std::unordered_set<NodeId> responded;   // CTS heard this round
     std::unordered_set<NodeId> acked;       // ACK heard this round
@@ -42,11 +34,14 @@ private:
     unsigned rounds{0};
   };
 
-  void on_contention_won() override;
+  void on_service_start() override {
+    active_ = Active{};
+    active_.remaining = request().receivers;
+  }
+  void start_reliable() override;
+  void on_sent(const FramePtr& frame) override;
   void handle_frame(const FramePtr& frame) override;
 
-  void maybe_start();
-  void begin_round();
   void send_rts(std::size_t index);
   void on_cts_timeout();
   void after_rts_phase();
@@ -54,22 +49,15 @@ private:
   void on_ack_timeout();
   void conclude_round();
   void round_failed();
-  void finish(bool success);
 
   // Conservative NAV claim covering the remainder of the batch from the end
   // of the frame about to be sent.
   [[nodiscard]] SimTime remaining_batch_time(std::size_t rts_left, bool data_left,
                                              std::size_t rak_left) const;
 
-  // FSM edges funnel through here so rmacsim_mac_state_transitions_total
-  // counts every protocol the same way.
-  void set_phase(Phase p) noexcept {
-    if (p != phase_) ++stats_.state_transitions;
-    phase_ = p;
-  }
+  void set_phase(Phase p) noexcept { set_mac_state(static_cast<std::uint8_t>(p)); }
 
-  Phase phase_{Phase::kIdle};
-  std::optional<Active> active_;
+  Active active_;
   EventId timeout_{kInvalidEvent};
 };
 

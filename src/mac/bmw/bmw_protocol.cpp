@@ -3,7 +3,6 @@
 #include "phy/frame_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -40,80 +39,9 @@ BmwProtocol::BmwProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams 
                          Tracer* tracer)
     : Dot11Base{scheduler, radio, rng, params, tracer} {}
 
-void BmwProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
-  if (!queue_admit(params_)) {
-    ReliableSendResult r;
-    r.packet = std::move(packet);
-    r.failed_receivers = std::move(receivers);
-    r.receivers = r.failed_receivers;
-    r.drop_reason = DropReason::kQueueOverflow;
-    report_done(r);
-    return;
-  }
-  TxRequest req;
-  req.reliable = true;
-  req.packet = std::move(packet);
-  req.receivers = std::move(receivers);
-  ++stats_.reliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void BmwProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void BmwProtocol::maybe_start() {
-  if (step_ != Step::kIdle && step_ != Step::kContend) return;
-  if (!active_.has_value()) {
-    if (queue_.empty()) return;
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.pending = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  set_step(Step::kContend);
-  contend();
-}
-
-void BmwProtocol::on_contention_won() {
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      set_step(Step::kIdle);
-      return;
-    }
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.pending = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  Active& a = *active_;
-  if (!a.req.reliable) {
-    if (!transmit_now(make_data80211(id(), a.req.dest, {}, a.req.packet, a.req.packet->seq,
-                                     SimTime::zero()))) {
-      set_step(Step::kContend);
-      post_tx_backoff();
-    }
-    return;
-  }
+void BmwProtocol::start_reliable() {
+  Active& a = active_;
+  const TxRequest& req = request();
   ++contention_phases_;
   if (a.rr >= a.pending.size()) a.rr = 0;
   current_receiver_ = a.pending[a.rr];
@@ -122,16 +50,15 @@ void BmwProtocol::on_contention_won() {
   if (tries > 1) ++stats_.retransmissions;
   set_step(Step::kWfCts);
   const SimTime nav = phy_.sifs + airtime_bytes(kCtsBytes) + phy_.sifs +
-                      airtime_bytes(kDot11DataFramingBytes + a.req.packet->payload_bytes) +
+                      airtime_bytes(kDot11DataFramingBytes + req.packet->payload_bytes) +
                       phy_.sifs + airtime_bytes(kAckBytes) + 4 * phy_.max_propagation;
-  FramePtr rts = bmw_rts(id(), current_receiver_, a.req.packet->seq, nav,
-                         a.req.packet->journey);
+  FramePtr rts = bmw_rts(id(), current_receiver_, req.packet->seq, nav, req.packet->journey);
   count_control_tx(*rts);
   if (!transmit_now(std::move(rts))) receiver_attempt_failed(current_receiver_);
 }
 
-void BmwProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
-  if (!active_.has_value()) return;
+void BmwProtocol::on_sent(const FramePtr& frame) {
+  if (!serving()) return;
   switch (frame->type) {
     case FrameType::kRts:
       timeout_ = scheduler_.schedule_in(
@@ -139,13 +66,6 @@ void BmwProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) 
           [this] { on_cts_timeout(); });
       return;
     case FrameType::kData80211:
-      if (!active_->req.reliable) {
-        active_.reset();
-        set_step(Step::kIdle);
-        post_tx_backoff();
-        maybe_start();
-        return;
-      }
       stats_.reliable_data_tx_time += airtime(*frame);
       set_step(Step::kWfAck);
       timeout_ = scheduler_.schedule_in(
@@ -165,7 +85,7 @@ void BmwProtocol::handle_frame(const FramePtr& frame) {
       // of the same logical broadcast raised it (and a caught-up CTS ends an
       // exchange far before its advertised reservation).  Only a node busy
       // with an exchange of its own stays silent.
-      if (step_ != Step::kIdle && step_ != Step::kContend) return;
+      if (!idle_or_contending()) return;
       // CTS advertises the sequence we still need: rts.seq if the frame is
       // missing, rts.seq + 1 if we already overheard it (caught up).
       const bool caught_up = have_data(frame->transmitter, frame->seq);
@@ -180,22 +100,22 @@ void BmwProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kCts: {
-      if (step_ != Step::kWfCts || !active_.has_value() ||
+      if (step() != Step::kWfCts || !serving() ||
           frame->transmitter != current_receiver_) {
         return;
       }
       scheduler_.cancel(timeout_);
       timeout_ = kInvalidEvent;
-      if (frame->seq > active_->req.packet->seq) {
+      if (frame->seq > request().packet->seq) {
         // Receiver overheard a previous transmission: already has the frame.
         receiver_confirmed(current_receiver_);
         return;
       }
-      const TxRequest& req = active_->req;
+      const TxRequest& req = request();
       FramePtr data = make_data80211(id(), current_receiver_, req.receivers, req.packet,
                                      req.packet->seq, phy_.sifs + airtime_bytes(kAckBytes));
       respond_after_sifs(std::move(data), [this] {
-        if (step_ == Step::kWfCts && active_.has_value()) {
+        if (step() == Step::kWfCts && serving()) {
           receiver_attempt_failed(current_receiver_);
         }
       });
@@ -212,7 +132,7 @@ void BmwProtocol::handle_frame(const FramePtr& frame) {
         return;
       }
       if (remember_data(frame->transmitter, frame->seq)) deliver_up(*frame);
-      if (frame->dest == id() && (step_ == Step::kIdle || step_ == Step::kContend)) {
+      if (frame->dest == id() && idle_or_contending()) {
         FramePtr ack = make_ack(id(), frame->transmitter, frame->seq, frame->journey);
         count_control_tx(*ack);
         respond_after_sifs(std::move(ack));
@@ -220,7 +140,7 @@ void BmwProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kAck:
-      if (step_ == Step::kWfAck && active_.has_value() &&
+      if (step() == Step::kWfAck && serving() &&
           frame->transmitter == current_receiver_) {
         scheduler_.cancel(timeout_);
         timeout_ = kInvalidEvent;
@@ -234,25 +154,25 @@ void BmwProtocol::handle_frame(const FramePtr& frame) {
 
 void BmwProtocol::on_cts_timeout() {
   timeout_ = kInvalidEvent;
-  if (step_ != Step::kWfCts) return;
+  if (step() != Step::kWfCts) return;
   receiver_attempt_failed(current_receiver_);
 }
 
 void BmwProtocol::on_ack_timeout() {
   timeout_ = kInvalidEvent;
-  if (step_ != Step::kWfAck) return;
+  if (step() != Step::kWfAck) return;
   receiver_attempt_failed(current_receiver_);
 }
 
 void BmwProtocol::receiver_confirmed(NodeId r) {
-  Active& a = *active_;
+  Active& a = active_;
   std::erase(a.pending, r);
   reset_cw();
   next_receiver();
 }
 
 void BmwProtocol::receiver_attempt_failed(NodeId r) {
-  Active& a = *active_;
+  Active& a = active_;
   if (a.attempts[r] > params_.retry_limit) {
     a.failed.push_back(r);
     std::erase(a.pending, r);
@@ -264,45 +184,15 @@ void BmwProtocol::receiver_attempt_failed(NodeId r) {
 }
 
 void BmwProtocol::next_receiver() {
-  Active& a = *active_;
+  Active& a = active_;
   if (a.pending.empty()) {
-    finish();
+    unsigned transmissions = 0;
+    for (const auto& [r, n] : a.attempts) transmissions += n;
+    const bool success = a.failed.empty();
+    finish(success, transmissions, std::move(a.failed));
     return;
   }
-  set_step(Step::kContend);
-  backoff_.draw(cw_);
-  contend();
-}
-
-void BmwProtocol::finish() {
-  Active& a = *active_;
-  ReliableSendResult result;
-  result.packet = a.req.packet;
-  result.success = a.failed.empty();
-  result.failed_receivers = a.failed;
-  result.receivers = a.req.receivers;
-  if (!result.success) result.drop_reason = DropReason::kRetryExhausted;
-  unsigned total = 0;
-  for (const auto& [r, n] : a.attempts) total += n;
-  result.transmissions = total;
-  if (result.success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-  }
-  active_.reset();
-  reset_cw();
-  set_step(Step::kIdle);
-  report_done(result);
-  post_tx_backoff();
-  maybe_start();
-}
-
-void BmwProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
+  recontend();
 }
 
 }  // namespace rmacsim

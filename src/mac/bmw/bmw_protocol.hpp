@@ -9,7 +9,6 @@
 // bench/ablation_bmw_bmmm quantifies.
 #pragma once
 
-#include <optional>
 #include <unordered_map>
 
 #include "mac/dcf/dot11_base.hpp"
@@ -21,48 +20,38 @@ public:
   BmwProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params = MacParams{},
               Tracer* tracer = nullptr);
 
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] std::string name() const override { return "BMW"; }
-
-  void on_transmit_complete(const FramePtr& frame, bool aborted) override;
 
   // Number of contention phases entered for reliable sends (Fig. 1 metric).
   [[nodiscard]] std::uint64_t contention_phases() const noexcept { return contention_phases_; }
 
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
-
 private:
   struct Active {
-    TxRequest req;
     std::vector<NodeId> pending;                    // receivers not yet confirmed
     std::unordered_map<NodeId, unsigned> attempts;  // per-receiver exchange attempts
     std::vector<NodeId> failed;
     std::size_t rr{0};  // round-robin cursor into pending
   };
 
-  void on_contention_won() override;
+  void on_service_start() override {
+    active_ = Active{};
+    active_.pending = request().receivers;
+  }
+  void start_reliable() override;
+  void on_sent(const FramePtr& frame) override;
   void handle_frame(const FramePtr& frame) override;
 
-  void maybe_start();
   void on_cts_timeout();
   void on_ack_timeout();
   void receiver_confirmed(NodeId r);
   void receiver_attempt_failed(NodeId r);
   void next_receiver();
-  void finish();
 
   enum class Step : std::uint8_t { kIdle, kContend, kWfCts, kWfAck };
+  [[nodiscard]] Step step() const noexcept { return static_cast<Step>(mac_state()); }
+  void set_step(Step s) noexcept { set_mac_state(static_cast<std::uint8_t>(s)); }
 
-  // FSM edges funnel through here so rmacsim_mac_state_transitions_total
-  // counts every protocol the same way.
-  void set_step(Step s) noexcept {
-    if (s != step_) ++stats_.state_transitions;
-    step_ = s;
-  }
-
-  Step step_{Step::kIdle};
-  std::optional<Active> active_;
+  Active active_;
   NodeId current_receiver_{kInvalidNode};
   EventId timeout_{kInvalidEvent};
   std::uint64_t contention_phases_{0};

@@ -11,24 +11,9 @@ namespace rmacsim {
 
 Dot11Base::Dot11Base(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params,
                      Tracer* tracer)
-    : scheduler_{scheduler},
-      radio_{radio},
-      rng_{rng},
-      params_{params},
-      tracer_{tracer},
-      phy_{radio.medium().params()},
-      backoff_{scheduler, radio.medium().params().slot, rng.fork(0xd0f)},
-      cw_{params.cw_min} {
-  radio_.set_listener(this);
+    : MacProtocol{scheduler, radio, rng, 0xd0f, radio.medium().params().slot, params, tracer},
+      phy_{radio.medium().params()} {
   backoff_.set_channel(*this, [this] { on_contention_won(); });
-}
-
-Dot11Base::~Dot11Base() { radio_.set_listener(nullptr); }
-
-void Dot11Base::settle_stats() {
-  const BackoffEngine::SlotCounts& c = backoff_.slots();
-  stats_.backoff_idle_slots = c.idle;
-  stats_.backoff_busy_slots = c.busy;
 }
 
 BackoffEngine::Forecast Dot11Base::backoff_forecast() const {
@@ -46,11 +31,64 @@ void Dot11Base::update_nav(const Frame& frame) {
   }
 }
 
-void Dot11Base::contend() { backoff_.ensure_running(cw_); }
+void Dot11Base::maybe_start() {
+  if (!idle_or_contending() || !serve_next()) return;
+  set_mac_state(kStateContend);
+  contend();
+}
 
-void Dot11Base::post_tx_backoff() {
-  backoff_.draw(cw_);
-  backoff_.ensure_running(cw_);
+void Dot11Base::on_contention_won() {
+  if (!serve_next()) {
+    set_mac_state(kStateIdle);
+    return;
+  }
+  if (request().reliable) {
+    start_reliable();
+  } else {
+    send_one_shot();
+  }
+}
+
+void Dot11Base::send_one_shot() {
+  const TxRequest& req = request();
+  const NodeId dest = req.reliable ? kInvalidNode : req.dest;
+  if (!transmit_now(make_data80211(id(), dest, req.receivers, req.packet, req.packet->seq,
+                                   SimTime::zero()))) {
+    recontend();  // rare: retry the contention
+  }
+}
+
+void Dot11Base::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
+  if (frame->type == FrameType::kData80211 && serving() && !request().reliable) {
+    end_service();
+    set_mac_state(kStateIdle);
+    post_tx_backoff();
+    maybe_start();
+    return;
+  }
+  on_sent(frame);
+}
+
+void Dot11Base::recontend() {
+  set_mac_state(kStateContend);
+  post_tx_backoff();
+}
+
+void Dot11Base::retry_or_drop(unsigned attempts, const std::vector<NodeId>& failed) {
+  if (attempts > params_.retry_limit) {
+    finish(/*success=*/false, attempts, failed);
+    return;
+  }
+  bump_cw();
+  recontend();
+}
+
+void Dot11Base::finish(bool success, unsigned transmissions, std::vector<NodeId> failed) {
+  reset_cw();
+  set_mac_state(kStateIdle);
+  complete(success, transmissions, std::move(failed), DropReason::kRetryExhausted);
+  post_tx_backoff();
+  maybe_start();
 }
 
 void Dot11Base::respond_after_sifs(FramePtr frame, std::function<void()> on_drop) {
@@ -115,80 +153,14 @@ DcfProtocol::DcfProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams 
                          Tracer* tracer)
     : Dot11Base{scheduler, radio, rng, params, tracer} {}
 
-void DcfProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
-  if (!queue_admit(params_)) {
-    ReliableSendResult r;
-    r.packet = std::move(packet);
-    r.failed_receivers = std::move(receivers);
-    r.receivers = r.failed_receivers;
-    r.drop_reason = DropReason::kQueueOverflow;
-    report_done(r);
-    return;
-  }
-  TxRequest req;
-  req.reliable = true;
-  req.packet = std::move(packet);
-  req.receivers = std::move(receivers);
-  ++stats_.reliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void DcfProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void DcfProtocol::maybe_start() {
-  if (state_ != State::kIdle && state_ != State::kContend) return;
-  if (!active_.has_value()) {
-    if (queue_.empty()) return;
-    active_.emplace(Active{std::move(queue_.front()), 0});
-    queue_.pop_front();
-  }
-  set_state(State::kContend);
-  contend();
-}
-
-void DcfProtocol::on_contention_won() {
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      set_state(State::kIdle);
-      return;
-    }
-    active_.emplace(Active{std::move(queue_.front()), 0});
-    queue_.pop_front();
-  }
-  const TxRequest& req = active_->req;
-  const bool unicast_reliable = req.reliable && req.receivers.size() == 1;
-  if (unicast_reliable) {
+void DcfProtocol::start_reliable() {
+  if (request().receivers.size() == 1) {
     start_unicast_exchange();
     return;
   }
-  // 802.11 multicast/broadcast and the unreliable service: one data frame,
-  // no reservation, no recovery.
-  ++active_->attempts;
-  const NodeId dest = req.reliable ? kInvalidNode : req.dest;
-  if (!transmit_now(make_data80211(id(), dest, req.receivers, req.packet,
-                                   req.packet ? req.packet->seq : 0, SimTime::zero()))) {
-    set_state(State::kContend);
-    post_tx_backoff();  // rare: retry the contention
-  }
+  // 802.11 multicast/broadcast: one data frame, no reservation, no recovery.
+  ++active_.attempts;
+  send_one_shot();
 }
 
 SimTime DcfProtocol::exchange_duration_after_rts(std::size_t payload) const {
@@ -198,9 +170,9 @@ SimTime DcfProtocol::exchange_duration_after_rts(std::size_t payload) const {
 }
 
 void DcfProtocol::start_unicast_exchange() {
-  const TxRequest& req = active_->req;
-  ++active_->attempts;
-  if (active_->attempts > 1) ++stats_.retransmissions;
+  const TxRequest& req = request();
+  ++active_.attempts;
+  if (active_.attempts > 1) ++stats_.retransmissions;
   set_state(State::kWfCts);
   const NodeId dest = req.receivers.front();
   FramePtr rts = make_rts(id(), dest, exchange_duration_after_rts(req.packet->payload_bytes),
@@ -209,40 +181,27 @@ void DcfProtocol::start_unicast_exchange() {
   if (!transmit_now(std::move(rts))) attempt_failed();
 }
 
-void DcfProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
+void DcfProtocol::on_sent(const FramePtr& frame) {
   switch (frame->type) {
     case FrameType::kRts:
       // Await the CTS: SIFS + CTS airtime + turnaround slack.
       timeout_ = scheduler_.schedule_in(
           phy_.sifs + airtime_bytes(kCtsBytes) + 2 * phy_.max_propagation + phy_.slot,
-          [this] { on_cts_timeout(); });
+          [this] { on_timeout(); });
       return;
-    case FrameType::kData80211: {
-      if (active_.has_value() && active_->req.reliable && active_->req.receivers.size() == 1) {
-        stats_.reliable_data_tx_time += airtime(*frame);
+    case FrameType::kData80211:
+      stats_.reliable_data_tx_time += airtime(*frame);
+      if (request().receivers.size() == 1) {
         set_state(State::kWfAck);
         timeout_ = scheduler_.schedule_in(
             phy_.sifs + airtime_bytes(kAckBytes) + 2 * phy_.max_propagation + phy_.slot,
-            [this] { on_ack_timeout(); });
+            [this] { on_timeout(); });
         return;
       }
-      // Broadcast / multicast / unreliable data: done after one shot.
-      if (active_.has_value() && active_->req.reliable) {
-        stats_.reliable_data_tx_time += airtime(*frame);
-        finish(/*success=*/true);  // 802.11 reports multicast success blindly
-      } else {
-        active_.reset();
-        set_state(State::kIdle);
-        post_tx_backoff();
-        maybe_start();
-      }
+      finish(/*success=*/true, active_.attempts, {});  // 802.11 reports multicast success blindly
       return;
-    }
-    case FrameType::kCts:
-    case FrameType::kAck:
-      return;  // responder-side frames; nothing to follow up
     default:
-      return;
+      return;  // responder-side CTS/ACK: nothing to follow up
   }
 }
 
@@ -251,7 +210,7 @@ void DcfProtocol::handle_frame(const FramePtr& frame) {
     case FrameType::kRts:
       // Honour virtual carrier sense, and never derail an exchange of our
       // own to answer someone else's reservation.
-      if (nav_clear() && (state_ == State::kIdle || state_ == State::kContend)) {
+      if (nav_clear() && idle_or_contending()) {
         FramePtr cts = make_cts(id(), frame->transmitter,
                                 frame->duration - phy_.sifs - airtime_bytes(kCtsBytes),
                                 /*seq=*/0, frame->journey);
@@ -260,16 +219,16 @@ void DcfProtocol::handle_frame(const FramePtr& frame) {
       }
       return;
     case FrameType::kCts:
-      if (state_ == State::kWfCts && active_.has_value() &&
-          frame->transmitter == active_->req.receivers.front()) {
+      if (state() == State::kWfCts && serving() &&
+          frame->transmitter == request().receivers.front()) {
         scheduler_.cancel(timeout_);
         timeout_ = kInvalidEvent;
-        const TxRequest& req = active_->req;
+        const TxRequest& req = request();
         FramePtr data = make_data80211(id(), req.receivers.front(), {}, req.packet,
                                        req.packet->seq,
                                        phy_.sifs + airtime_bytes(kAckBytes));
         respond_after_sifs(std::move(data), [this] {
-          if (state_ == State::kWfCts && active_.has_value()) attempt_failed();
+          if (state() == State::kWfCts && serving()) attempt_failed();
         });
       }
       return;
@@ -292,10 +251,10 @@ void DcfProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kAck:
-      if (state_ == State::kWfAck && active_.has_value()) {
+      if (state() == State::kWfAck && serving()) {
         scheduler_.cancel(timeout_);
         timeout_ = kInvalidEvent;
-        finish(/*success=*/true);
+        finish(/*success=*/true, active_.attempts, {});
       }
       return;
     default:
@@ -303,55 +262,14 @@ void DcfProtocol::handle_frame(const FramePtr& frame) {
   }
 }
 
-void DcfProtocol::on_cts_timeout() {
-  timeout_ = kInvalidEvent;
-  attempt_failed();
-}
-
-void DcfProtocol::on_ack_timeout() {
+void DcfProtocol::on_timeout() {
   timeout_ = kInvalidEvent;
   attempt_failed();
 }
 
 void DcfProtocol::attempt_failed() {
-  assert(active_.has_value());
-  if (active_->attempts > params_.retry_limit) {
-    finish(/*success=*/false);
-    return;
-  }
-  bump_cw();
-  set_state(State::kContend);
-  backoff_.draw(cw_);
-  contend();
-}
-
-void DcfProtocol::finish(bool success) {
-  assert(active_.has_value());
-  ReliableSendResult result;
-  result.packet = active_->req.packet;
-  result.success = success;
-  result.transmissions = active_->attempts;
-  result.receivers = active_->req.receivers;
-  if (success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-    result.failed_receivers = active_->req.receivers;
-    result.drop_reason = DropReason::kRetryExhausted;
-  }
-  active_.reset();
-  reset_cw();
-  set_state(State::kIdle);
-  report_done(result);
-  post_tx_backoff();
-  maybe_start();
-}
-
-void DcfProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
+  assert(serving());
+  retry_or_drop(active_.attempts, request().receivers);
 }
 
 }  // namespace rmacsim

@@ -7,8 +7,6 @@
 // reference for the BMMM/BMW extensions built on Dot11Base.
 #pragma once
 
-#include <optional>
-
 #include "mac/dcf/dot11_base.hpp"
 
 namespace rmacsim {
@@ -18,44 +16,30 @@ public:
   DcfProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params = MacParams{},
               Tracer* tracer = nullptr);
 
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] std::string name() const override { return "802.11-DCF"; }
 
-  void on_transmit_complete(const FramePtr& frame, bool aborted) override;
-
   enum class State : std::uint8_t { kIdle, kContend, kWfCts, kWfAck };
-  [[nodiscard]] State state() const noexcept { return state_; }
-
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
+  [[nodiscard]] State state() const noexcept { return static_cast<State>(mac_state()); }
 
 private:
   struct Active {
-    TxRequest req;
     unsigned attempts{0};
   };
 
-  void on_contention_won() override;
+  void on_service_start() override { active_ = Active{}; }
+  void start_reliable() override;
+  void on_sent(const FramePtr& frame) override;
   void handle_frame(const FramePtr& frame) override;
 
-  void maybe_start();
   void start_unicast_exchange();
-  void on_cts_timeout();
-  void on_ack_timeout();
+  void on_timeout();
   void attempt_failed();
-  void finish(bool success);
 
   [[nodiscard]] SimTime exchange_duration_after_rts(std::size_t payload) const;
 
-  // FSM edges funnel through here so rmacsim_mac_state_transitions_total
-  // counts every protocol the same way.
-  void set_state(State s) noexcept {
-    if (s != state_) ++stats_.state_transitions;
-    state_ = s;
-  }
+  void set_state(State s) noexcept { set_mac_state(static_cast<std::uint8_t>(s)); }
 
-  State state_{State::kIdle};
-  std::optional<Active> active_;
+  Active active_;
   EventId timeout_{kInvalidEvent};
 };
 

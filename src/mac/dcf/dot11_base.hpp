@@ -1,27 +1,35 @@
 // Shared IEEE 802.11 DCF machinery for the baseline protocols (DCF unicast,
-// BMMM, BMW): physical + virtual carrier sense (NAV), DIFS deference,
-// slot-based contention backoff, and SIFS-spaced responses.
+// BMMM, BMW, LAMM, 802.11MX): physical + virtual carrier sense (NAV), DIFS
+// deference, slot-based contention backoff, SIFS-spaced responses, and the
+// family's request lifecycle — contend for the request in service, send an
+// unreliable request as one data frame, and finish a reliable one.
 #pragma once
 
 #include <unordered_map>
 #include <unordered_set>
 
-#include "mac/backoff.hpp"
 #include "mac/frame_builders.hpp"
 #include "mac/mac_protocol.hpp"
 #include "phy/medium.hpp"
-#include "sim/trace.hpp"
 
 namespace rmacsim {
 
 class Dot11Base : public MacProtocol, private BackoffEngine::Channel {
 public:
-  [[nodiscard]] NodeId id() const noexcept override { return radio_.id(); }
-  void settle_stats() override;
+  // A one-shot data frame completes its unreliable request here; every
+  // other frame goes to on_sent().
+  void on_transmit_complete(const FramePtr& frame, bool aborted) final;
 
 protected:
   Dot11Base(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params, Tracer* tracer);
-  ~Dot11Base() override;
+
+  // Every 802.11-family FSM starts with these two states (the first two
+  // values of its enum): nothing in progress, and contending for the channel.
+  static constexpr std::uint8_t kStateIdle = 0;
+  static constexpr std::uint8_t kStateContend = 1;
+  [[nodiscard]] bool idle_or_contending() const noexcept {
+    return mac_state() <= kStateContend;
+  }
 
   // --- Carrier sense -------------------------------------------------------
   [[nodiscard]] bool nav_clear() const noexcept { return scheduler_.now() >= nav_until_; }
@@ -32,18 +40,28 @@ protected:
   [[nodiscard]] BackoffEngine::Forecast backoff_forecast() const override;
   void update_nav(const Frame& frame);
 
-  // --- Contention ----------------------------------------------------------
-  // Subclasses implement: the contention winner action, and frame handling.
-  virtual void on_contention_won() = 0;
+  // --- Request lifecycle ---------------------------------------------------
+  // Idle or contending: take the next request into service and contend.
+  void maybe_start() override;
+  // Contention won with a reliable request in service: open its exchange.
+  virtual void start_reliable() = 0;
+  // Own transmission finished (anything but a one-shot unreliable frame).
+  virtual void on_sent(const FramePtr& frame) = 0;
   virtual void handle_frame(const FramePtr& frame) = 0;
 
-  void contend();           // ensure the backoff countdown is running
-  void post_tx_backoff();   // fresh draw after any completed transmission
-  void bump_cw() noexcept {
-    if (cw_ < params_.cw_max) ++stats_.cw_escalations;
-    cw_ = std::min(2 * cw_ + 1, params_.cw_max);
-  }
-  void reset_cw() noexcept { cw_ = params_.cw_min; }
+  void contend() { backoff_.ensure_running(cw_); }
+  // Back to contention with a fresh draw (a failed attempt, or a frame the
+  // radio could not send).
+  void recontend();
+  // Transmit the in-service request's data frame once, with no reservation
+  // and no recovery: the unreliable service, and 802.11 multicast.
+  void send_one_shot();
+  // One failed attempt of the reliable request: past the retry limit it
+  // fails for `failed`, else the window doubles and contention resumes.
+  void retry_or_drop(unsigned attempts, const std::vector<NodeId>& failed);
+  // The reliable request is over: reset CW -> Idle -> report -> post-TX
+  // backoff -> next request.
+  void finish(bool success, unsigned transmissions, std::vector<NodeId> failed);
 
   // Transmit `frame` after a SIFS (responses are not subject to contention).
   // If the radio turns out to be busy at send time the frame is dropped and
@@ -70,19 +88,13 @@ protected:
   // Subclass hook invoked from on_carrier_changed (after NAV bookkeeping).
   virtual void on_carrier_hook(bool /*busy*/) {}
 
-  Scheduler& scheduler_;
-  Radio& radio_;
-  Rng rng_;
-  MacParams params_;
-  Tracer* tracer_;
   const PhyParams& phy_;
-
-  BackoffEngine backoff_;
-  unsigned cw_;
   SimTime nav_until_{SimTime::zero()};
   SimTime last_busy_end_{SimTime::zero()};
 
 private:
+  void on_contention_won();
+
   std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_data_;
 };
 

@@ -2,7 +2,6 @@
 
 #include "phy/frame_pool.hpp"
 
-#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -27,84 +26,8 @@ LammProtocol::LammProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParam
                            Tracer* tracer)
     : Dot11Base{scheduler, radio, rng, params, tracer} {}
 
-void LammProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
-  if (!queue_admit(params_)) {
-    ReliableSendResult r;
-    r.packet = std::move(packet);
-    r.failed_receivers = std::move(receivers);
-    r.receivers = r.failed_receivers;
-    r.drop_reason = DropReason::kQueueOverflow;
-    report_done(r);
-    return;
-  }
-  TxRequest req;
-  req.reliable = true;
-  req.packet = std::move(packet);
-  req.receivers = std::move(receivers);
-  ++stats_.reliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void LammProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void LammProtocol::maybe_start() {
-  if (phase_ != Phase::kIdle && phase_ != Phase::kContend) return;
-  if (!active_.has_value()) {
-    if (queue_.empty()) return;
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  set_phase(Phase::kContend);
-  contend();
-}
-
-void LammProtocol::on_contention_won() {
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      set_phase(Phase::kIdle);
-      return;
-    }
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
-  }
-  if (!active_->req.reliable) {
-    if (!transmit_now(make_data80211(id(), active_->req.dest, {}, active_->req.packet,
-                                     active_->req.packet->seq, SimTime::zero()))) {
-      set_phase(Phase::kContend);
-      post_tx_backoff();
-    }
-    return;
-  }
-  begin_round();
-}
-
-void LammProtocol::begin_round() {
-  Active& a = *active_;
+void LammProtocol::start_reliable() {
+  Active& a = active_;
   ++a.rounds;
   if (a.rounds > 1) ++stats_.retransmissions;
   a.responded.clear();
@@ -113,38 +36,31 @@ void LammProtocol::begin_round() {
   // NAV from the GRTS covers the CTS window, DATA, and the ACK window.
   const SimTime nav =
       n * cts_slot() + phy_.sifs +
-      airtime_bytes(kDot11DataFramingBytes + a.req.packet->payload_bytes) + phy_.sifs +
+      airtime_bytes(kDot11DataFramingBytes + request().packet->payload_bytes) + phy_.sifs +
       n * ack_slot() + 8 * phy_.max_propagation;
-  FramePtr grts = make_grts(id(), a.remaining, a.req.packet->seq, nav,
-                            a.req.packet->journey);
+  FramePtr grts = make_grts(id(), a.remaining, request().packet->seq, nav,
+                            request().packet->journey);
   stats_.control_tx_time += airtime(*grts);
   set_phase(Phase::kCtsWindow);
   if (!transmit_now(std::move(grts))) round_failed();
 }
 
-void LammProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
-  if (!active_.has_value()) return;
+void LammProtocol::on_sent(const FramePtr& frame) {
+  if (!serving()) return;
   switch (frame->type) {
     case FrameType::kGrts: {
       // Listen through all n self-scheduled CTS slots.
-      const auto n = static_cast<std::int64_t>(active_->remaining.size());
+      const auto n = static_cast<std::int64_t>(active_.remaining.size());
       window_timer_ = scheduler_.schedule_in(
           n * cts_slot() + 2 * phy_.max_propagation + phy_.slot,
           [this] { on_cts_window_end(); });
       return;
     }
     case FrameType::kData80211:
-      if (!active_->req.reliable) {
-        active_.reset();
-        set_phase(Phase::kIdle);
-        post_tx_backoff();
-        maybe_start();
-        return;
-      }
       stats_.reliable_data_tx_time += airtime(*frame);
       set_phase(Phase::kAckWindow);
       {
-        const auto n = static_cast<std::int64_t>(active_->remaining.size());
+        const auto n = static_cast<std::int64_t>(active_.remaining.size());
         window_timer_ = scheduler_.schedule_in(
             n * ack_slot() + 2 * phy_.max_propagation + phy_.slot,
             [this] { on_ack_window_end(); });
@@ -157,30 +73,31 @@ void LammProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/)
 
 void LammProtocol::on_cts_window_end() {
   window_timer_ = kInvalidEvent;
-  if (!active_.has_value() || phase_ != Phase::kCtsWindow) return;
-  Active& a = *active_;
+  if (!serving() || phase() != Phase::kCtsWindow) return;
+  Active& a = active_;
   if (a.responded.empty()) {
     round_failed();
     return;
   }
   const auto n = static_cast<std::int64_t>(a.remaining.size());
   const SimTime nav = phy_.sifs + n * ack_slot() + 4 * phy_.max_propagation;
-  if (!transmit_now(make_data80211(id(), kInvalidNode, a.remaining, a.req.packet,
-                                   a.req.packet->seq, nav))) {
+  const TxRequest& req = request();
+  if (!transmit_now(make_data80211(id(), kInvalidNode, a.remaining, req.packet,
+                                   req.packet->seq, nav))) {
     round_failed();
   }
 }
 
 void LammProtocol::on_ack_window_end() {
   window_timer_ = kInvalidEvent;
-  if (!active_.has_value() || phase_ != Phase::kAckWindow) return;
-  Active& a = *active_;
+  if (!serving() || phase() != Phase::kAckWindow) return;
+  Active& a = active_;
   std::vector<NodeId> failed;
   for (NodeId r : a.remaining) {
     if (!a.acked.contains(r)) failed.push_back(r);
   }
   if (failed.empty()) {
-    finish(/*success=*/true);
+    finish(/*success=*/true, a.rounds, {});
     return;
   }
   a.remaining = std::move(failed);
@@ -192,7 +109,7 @@ void LammProtocol::handle_frame(const FramePtr& frame) {
     case FrameType::kGrts: {
       const auto index = frame->receiver_index(id());
       if (!index.has_value()) return;
-      if (phase_ != Phase::kIdle && phase_ != Phase::kContend) return;
+      if (!idle_or_contending()) return;
       stats_.control_rx_time += airtime(*frame);
       // Self-scheduled CTS in slot i (location-derived order in real LAMM;
       // here the GRTS list is the shared ordering).
@@ -208,8 +125,8 @@ void LammProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kCts:
-      if (phase_ == Phase::kCtsWindow && active_.has_value()) {
-        active_->responded.insert(frame->transmitter);
+      if (phase() == Phase::kCtsWindow && serving()) {
+        active_.responded.insert(frame->transmitter);
       }
       return;
     case FrameType::kData80211: {
@@ -222,7 +139,7 @@ void LammProtocol::handle_frame(const FramePtr& frame) {
         if (remember_data(frame->transmitter, frame->seq)) deliver_up(*frame);
         // ACK in slot i — derivable from the DATA's list even if the GRTS
         // was missed (the location knowledge LAMM postulates).
-        if (phase_ == Phase::kIdle || phase_ == Phase::kContend) {
+        if (idle_or_contending()) {
           const SimTime at = phy_.sifs + static_cast<std::int64_t>(*index) * ack_slot();
           FramePtr ack = make_ack(id(), frame->transmitter, frame->seq, frame->journey);
           count_control_tx(*ack);
@@ -234,8 +151,8 @@ void LammProtocol::handle_frame(const FramePtr& frame) {
       return;
     }
     case FrameType::kAck:
-      if (phase_ == Phase::kAckWindow && active_.has_value()) {
-        active_->acked.insert(frame->transmitter);
+      if (phase() == Phase::kAckWindow && serving()) {
+        active_.acked.insert(frame->transmitter);
       }
       return;
     default:
@@ -244,44 +161,7 @@ void LammProtocol::handle_frame(const FramePtr& frame) {
 }
 
 void LammProtocol::round_failed() {
-  Active& a = *active_;
-  if (a.rounds > params_.retry_limit) {
-    finish(/*success=*/false);
-    return;
-  }
-  bump_cw();
-  set_phase(Phase::kContend);
-  backoff_.draw(cw_);
-  contend();
-}
-
-void LammProtocol::finish(bool success) {
-  assert(active_.has_value());
-  ReliableSendResult result;
-  result.packet = active_->req.packet;
-  result.success = success;
-  result.transmissions = active_->rounds;
-  result.receivers = active_->req.receivers;
-  if (success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-    result.failed_receivers = active_->remaining;
-    result.drop_reason = DropReason::kRetryExhausted;
-  }
-  active_.reset();
-  reset_cw();
-  set_phase(Phase::kIdle);
-  report_done(result);
-  post_tx_backoff();
-  maybe_start();
-}
-
-void LammProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
+  retry_or_drop(active_.rounds, active_.remaining);
 }
 
 }  // namespace rmacsim

@@ -16,7 +16,6 @@
 // between BMMM and RMAC's tone-based design in the overhead spectrum.
 #pragma once
 
-#include <optional>
 #include <unordered_set>
 
 #include "mac/dcf/dot11_base.hpp"
@@ -28,49 +27,38 @@ public:
   LammProtocol(Scheduler& scheduler, Radio& radio, Rng rng, MacParams params = MacParams{},
                Tracer* tracer = nullptr);
 
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] std::string name() const override { return "LAMM"; }
 
-  void on_transmit_complete(const FramePtr& frame, bool aborted) override;
-
   enum class Phase : std::uint8_t { kIdle, kContend, kCtsWindow, kAckWindow };
-  [[nodiscard]] Phase phase() const noexcept { return phase_; }
-
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
+  [[nodiscard]] Phase phase() const noexcept { return static_cast<Phase>(mac_state()); }
 
 private:
   struct Active {
-    TxRequest req;
     std::vector<NodeId> remaining;
     std::unordered_set<NodeId> responded;  // CTSs heard this round
     std::unordered_set<NodeId> acked;      // ACKs heard this round
     unsigned rounds{0};
   };
 
-  void on_contention_won() override;
+  void on_service_start() override {
+    active_ = Active{};
+    active_.remaining = request().receivers;
+  }
+  void start_reliable() override;
+  void on_sent(const FramePtr& frame) override;
   void handle_frame(const FramePtr& frame) override;
 
-  void maybe_start();
-  void begin_round();
   void on_cts_window_end();
   void on_ack_window_end();
   void round_failed();
-  void finish(bool success);
 
   // Slot pitch for the self-scheduled responses.
   [[nodiscard]] SimTime cts_slot() const { return airtime_bytes(kCtsBytes) + phy_.sifs; }
   [[nodiscard]] SimTime ack_slot() const { return airtime_bytes(kAckBytes) + phy_.sifs; }
 
-  // FSM edges funnel through here so rmacsim_mac_state_transitions_total
-  // counts every protocol the same way.
-  void set_phase(Phase p) noexcept {
-    if (p != phase_) ++stats_.state_transitions;
-    phase_ = p;
-  }
+  void set_phase(Phase p) noexcept { set_mac_state(static_cast<std::uint8_t>(p)); }
 
-  Phase phase_{Phase::kIdle};
-  std::optional<Active> active_;
+  Active active_;
   EventId window_timer_{kInvalidEvent};
 };
 

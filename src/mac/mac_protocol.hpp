@@ -1,4 +1,4 @@
-// MAC service interface shared by RMAC and the baseline protocols.
+// MAC service and request lifecycle shared by RMAC and the baseline protocols.
 //
 // Mirrors the paper's service model (§3.3): a Reliable Send that transmits a
 // packet to an explicit list of one-hop receivers with recovery, and an
@@ -7,17 +7,23 @@
 // address, exactly as in the paper.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "mac/backoff.hpp"
 #include "phy/frame.hpp"
 #include "phy/radio.hpp"
 #include "stats/metrics.hpp"
 
 namespace rmacsim {
+
+class Tracer;
 
 // Outcome of one Reliable Send invocation, reported to the upper layer.
 //
@@ -60,19 +66,28 @@ struct MacParams {
   bool fault_ignore_nav{false};
 };
 
+// The MAC service and the request lifecycle every protocol shares: admission
+// into the drop-tail queue, the one request in service, its completion
+// report, and the end-of-run sweep.  A protocol supplies only its exchange —
+// frames, timers, and the rules that decide success and failure — through
+// maybe_start() and the RadioListener callbacks.
 class MacProtocol : public RadioListener {
 public:
-  ~MacProtocol() override = default;
+  ~MacProtocol() override;
+  MacProtocol(const MacProtocol&) = delete;
+  MacProtocol& operator=(const MacProtocol&) = delete;
 
   // Transmit `packet` reliably to each node in `receivers` (unicast: one
-  // entry; broadcast: the caller's one-hop neighbour list, §3.3.2).
-  virtual void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) = 0;
+  // entry; broadcast: the caller's one-hop neighbour list, §3.3.2).  An
+  // empty list succeeds at once; a full queue refuses the request with a
+  // kQueueOverflow report.
+  virtual void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers);
 
   // Transmit `packet` once, unacknowledged, to `dest` (a node id or
-  // kBroadcastId).
-  virtual void unreliable_send(AppPacketPtr packet, NodeId dest) = 0;
+  // kBroadcastId).  A full queue refuses it silently (counted only).
+  void unreliable_send(AppPacketPtr packet, NodeId dest);
 
-  [[nodiscard]] virtual NodeId id() const noexcept = 0;
+  [[nodiscard]] NodeId id() const noexcept { return radio_.id(); }
   [[nodiscard]] virtual std::string name() const = 0;
 
   void set_upper(MacUpper* upper) noexcept { upper_ = upper; }
@@ -81,23 +96,19 @@ public:
   [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
   // Bring the lazily counted stats (backoff slot samples) up to now();
   // end-of-run collection calls this before reading stats().
-  virtual void settle_stats() {}
+  void settle_stats();
 
   // Pending transmission requests (observability probes; excludes any
   // request currently in service).
   [[nodiscard]] std::size_t queue_depth() const noexcept { return queue_.size(); }
 
   // End-of-run sweep hook for the loss ledger: visit every reliable request
-  // that is still unfinished — queued here in the base, plus the in-service
-  // request in each protocol's override.  Receivers visited here are
-  // accounted as DropReason::kEndOfRun instead of leaking.
+  // that is still unfinished — the one in service, then the queued ones.
+  // Receivers visited here are accounted as DropReason::kEndOfRun instead of
+  // leaking.
   using PendingReliableFn =
       std::function<void(const AppPacketPtr&, const std::vector<NodeId>&)>;
-  virtual void for_each_pending_reliable(const PendingReliableFn& fn) const {
-    for (const TxRequest& q : queue_) {
-      if (q.reliable && q.packet != nullptr) fn(q.packet, q.receivers);
-    }
-  }
+  void for_each_pending_reliable(const PendingReliableFn& fn) const;
 
 protected:
   // Pending transmission request (FIFO service).
@@ -108,19 +119,54 @@ protected:
     NodeId dest{kBroadcastId};      // unreliable service
   };
 
-  // Drop-tail admission control; returns false (and counts the drop) when
-  // the transmission queue is at capacity.
-  [[nodiscard]] bool queue_admit(const MacParams& params) {
-    if (params.queue_limit == 0 || queue_.size() < params.queue_limit) return true;
-    ++stats_.queue_drops;
-    return false;
+  // Binds the protocol to `radio` as its listener.  The backoff engine
+  // counts `backoff_slot`s and draws from rng.fork(backoff_stream).
+  MacProtocol(Scheduler& scheduler, Radio& radio, Rng rng, std::uint64_t backoff_stream,
+              SimTime backoff_slot, MacParams params, Tracer* tracer);
+
+  // The start hook: admission runs it after every enqueue.  A protocol
+  // that can start (or keep contending for) a request calls serve_next().
+  virtual void maybe_start() = 0;
+  // A request just entered service: reset the protocol's per-request state.
+  virtual void on_service_start() {}
+
+  // Ensure a request is in service, dequeuing the queue head if none is;
+  // false when there is nothing to serve.
+  [[nodiscard]] bool serve_next();
+  [[nodiscard]] bool serving() const noexcept { return in_service_.has_value(); }
+  [[nodiscard]] const TxRequest& request() const noexcept { return *in_service_; }
+  // The in-service unreliable request was transmitted: it is over.
+  void end_service() noexcept { in_service_.reset(); }
+  // The in-service reliable request is over: count it, clear it, and report
+  // it upward.  `failed_receivers` and `reason` describe a failure and are
+  // ignored on success.  report_done may re-enter reliable_send through the
+  // upper layer's forwarding, so callers put their own bookkeeping around
+  // this call in the order their protocol needs.
+  void complete(bool success, unsigned transmissions, std::vector<NodeId> failed_receivers,
+                DropReason reason);
+
+  // Contention window: doubled (plus one) per failed attempt up to cw_max,
+  // reset to cw_min on completion.
+  void bump_cw() noexcept {
+    if (cw_ < params_.cw_max) ++stats_.cw_escalations;
+    cw_ = std::min(2 * cw_ + 1, params_.cw_max);
+  }
+  void reset_cw() noexcept { cw_ = params_.cw_min; }
+  // Fresh draw from the current window, and count it down.
+  void post_tx_backoff() {
+    backoff_.draw(cw_);
+    backoff_.ensure_running(cw_);
   }
 
-  // All enqueues go through here so the queue high-water mark (registry
-  // gauge `rmacsim_mac_queue_peak`) tracks without polling.
-  void push_request(TxRequest req) {
-    queue_.push_back(std::move(req));
-    if (queue_.size() > stats_.queue_peak) stats_.queue_peak = queue_.size();
+  // The protocol's FSM state, as the underlying value of its own enum.
+  // Every edge counts towards rmacsim_mac_state_transitions_total; returns
+  // whether the state changed.
+  [[nodiscard]] std::uint8_t mac_state() const noexcept { return mac_state_; }
+  bool set_mac_state(std::uint8_t s) noexcept {
+    if (s == mac_state_) return false;
+    ++stats_.state_transitions;
+    mac_state_ = s;
+    return true;
   }
 
   // Per-frame-type tx/rx counters feeding the registry's collect pass.
@@ -134,22 +180,32 @@ protected:
   void deliver_up(const Frame& frame) {
     if (upper_ != nullptr) upper_->mac_deliver(frame);
   }
-  void report_done(const ReliableSendResult& r) {
-    // Central per-reason drop accounting: one count per receiver the MAC
-    // gave up on, keyed by the reason the protocol recorded (receptions —
-    // the ledger's unit).  Protocols that predate the taxonomy report
-    // kNone; those land in kRetryExhausted, same as the ledger's fallback.
-    if (!r.success && !r.failed_receivers.empty()) {
-      const DropReason reason =
-          r.drop_reason == DropReason::kNone ? DropReason::kRetryExhausted : r.drop_reason;
-      stats_.drops_by_reason[static_cast<std::size_t>(reason)] += r.failed_receivers.size();
-    }
-    if (upper_ != nullptr) upper_->mac_reliable_done(r);
-  }
+
+  Scheduler& scheduler_;
+  Radio& radio_;
+  MacParams params_;
+  Tracer* tracer_;
+  MacStats stats_;
+  BackoffEngine backoff_;
+  unsigned cw_;
+  // Mutation knob (RMAC's Faults::swallow_drop_report): failed invocations
+  // are counted but never reported upward.
+  bool swallow_drop_reports_{false};
+
+private:
+  // Drop-tail admission: false (and the drop counted) when the queue is at
+  // capacity.
+  [[nodiscard]] bool queue_admit() noexcept;
+  // Enqueue, track the queue high-water mark (registry gauge
+  // rmacsim_mac_queue_peak), and run the start hook.
+  void push_request(TxRequest req);
+  // Count a failure's receivers per drop reason, then hand the result up.
+  void report_done(const ReliableSendResult& r);
 
   MacUpper* upper_{nullptr};
-  MacStats stats_;
   std::deque<TxRequest> queue_;
+  std::optional<TxRequest> in_service_;
+  std::uint8_t mac_state_{0};
 };
 
 }  // namespace rmacsim

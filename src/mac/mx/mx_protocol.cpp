@@ -2,7 +2,6 @@
 
 #include "phy/frame_pool.hpp"
 
-#include <cassert>
 #include <utility>
 
 namespace rmacsim {
@@ -13,83 +12,10 @@ MxProtocol::MxProtocol(Scheduler& scheduler, Radio& radio, ToneChannel& cts_tone
       cts_tone_{cts_tone},
       nak_tone_{nak_tone} {}
 
-MxProtocol::~MxProtocol() = default;
-
-void MxProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
-  if (!queue_admit(params_)) {
-    ReliableSendResult r;
-    r.packet = std::move(packet);
-    r.failed_receivers = std::move(receivers);
-    r.receivers = r.failed_receivers;
-    r.drop_reason = DropReason::kQueueOverflow;
-    report_done(r);
-    return;
-  }
-  TxRequest req;
-  req.reliable = true;
-  req.packet = std::move(packet);
-  req.receivers = std::move(receivers);
-  ++stats_.reliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void MxProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  push_request(std::move(req));
-  maybe_start();
-}
-
-void MxProtocol::maybe_start() {
-  if (state_ != State::kIdle && state_ != State::kContend) return;
-  if (rx_.has_value()) return;  // busy as a receiver
-  if (!active_.has_value()) {
-    if (queue_.empty()) return;
-    active_.emplace(Active{std::move(queue_.front()), 0});
-    queue_.pop_front();
-  }
-  set_state(State::kContend);
-  contend();
-}
-
-void MxProtocol::on_contention_won() {
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      set_state(State::kIdle);
-      return;
-    }
-    active_.emplace(Active{std::move(queue_.front()), 0});
-    queue_.pop_front();
-  }
-  if (!active_->req.reliable) {
-    if (!transmit_now(make_data80211(id(), active_->req.dest, {}, active_->req.packet,
-                                     active_->req.packet->seq, SimTime::zero()))) {
-      set_state(State::kContend);
-      post_tx_backoff();
-    }
-    return;
-  }
-  transmit_group_rts();
-}
-
-void MxProtocol::transmit_group_rts() {
-  Active& a = *active_;
-  ++a.attempts;
-  if (a.attempts > 1) ++stats_.retransmissions;
+void MxProtocol::start_reliable() {
+  ++active_.attempts;
+  if (active_.attempts > 1) ++stats_.retransmissions;
+  const TxRequest& req = request();
   // Group RTS: a fixed-size RTS whose receiver list scopes the multicast
   // group (unlike RMAC's MRTS, no per-receiver ordering is needed — the
   // tone feedback is anonymous).
@@ -97,12 +23,12 @@ void MxProtocol::transmit_group_rts() {
   f.type = FrameType::kRts;
   f.transmitter = id();
   f.dest = kInvalidNode;
-  f.receivers = a.req.receivers;
-  f.seq = a.req.packet->seq;
+  f.receivers = req.receivers;
+  f.seq = req.packet->seq;
   f.duration = phy_.tone_slot() + phy_.sifs +
-               airtime_bytes(kDot11DataFramingBytes + a.req.packet->payload_bytes) +
+               airtime_bytes(kDot11DataFramingBytes + req.packet->payload_bytes) +
                phy_.tone_slot() + 4 * phy_.max_propagation;
-  f.journey = a.req.packet->journey;
+  f.journey = req.packet->journey;
   FramePtr rts = make_frame(std::move(f));
   // Wire cost: standard 20 B RTS regardless of group size.
   stats_.control_tx_time += airtime_bytes(kRtsBytes);
@@ -111,8 +37,8 @@ void MxProtocol::transmit_group_rts() {
   }
 }
 
-void MxProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
-  if (!active_.has_value()) return;
+void MxProtocol::on_sent(const FramePtr& frame) {
+  if (!serving()) return;
   switch (frame->type) {
     case FrameType::kRts:
       set_state(State::kWfCtsTone);
@@ -122,13 +48,6 @@ void MxProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
           scheduler_.schedule_in(phy_.tone_slot(), [this] { on_cts_tone_check(); });
       return;
     case FrameType::kData80211:
-      if (!active_->req.reliable) {
-        active_.reset();
-        set_state(State::kIdle);
-        post_tx_backoff();
-        maybe_start();
-        return;
-      }
       stats_.reliable_data_tx_time += airtime(*frame);
       set_state(State::kWfNak);
       anchor_ = scheduler_.now();
@@ -142,12 +61,12 @@ void MxProtocol::on_transmit_complete(const FramePtr& frame, bool /*aborted*/) {
 
 void MxProtocol::on_cts_tone_check() {
   wait_timer_ = kInvalidEvent;
-  if (state_ != State::kWfCtsTone) return;
+  if (state() != State::kWfCtsTone) return;
   if (!cts_tone_.detected_in_window(id(), anchor_, scheduler_.now())) {
     attempt_failed();  // nobody heard the RTS
     return;
   }
-  const TxRequest& req = active_->req;
+  const TxRequest& req = request();
   if (!transmit_now(make_data80211(id(), kInvalidNode, req.receivers, req.packet,
                                    req.packet->seq, phy_.tone_slot()))) {
     attempt_failed();
@@ -156,7 +75,7 @@ void MxProtocol::on_cts_tone_check() {
 
 void MxProtocol::on_nak_check() {
   wait_timer_ = kInvalidEvent;
-  if (state_ != State::kWfNak) return;
+  if (state() != State::kWfNak) return;
   if (nak_tone_.detected_in_window(id(), anchor_, scheduler_.now())) {
     attempt_failed();  // at least one receiver got a corrupted copy
     return;
@@ -164,47 +83,12 @@ void MxProtocol::on_nak_check() {
   // Silence taken as success — the protocol's structural blind spot: a
   // receiver that missed the RTS never raises a NAK.
   ++believed_ok_;
-  finish(/*success=*/true);
+  finish(/*success=*/true, active_.attempts, {});
 }
 
 void MxProtocol::attempt_failed() {
-  Active& a = *active_;
-  if (a.attempts > params_.retry_limit) {
-    finish(/*success=*/false);
-    return;
-  }
-  bump_cw();
-  set_state(State::kContend);
-  backoff_.draw(cw_);
-  contend();
-}
-
-void MxProtocol::finish(bool success) {
-  ReliableSendResult result;
-  result.packet = active_->req.packet;
-  result.success = success;
-  result.transmissions = active_->attempts;
-  result.receivers = active_->req.receivers;
-  if (success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-    result.failed_receivers = active_->req.receivers;  // identity unknown to MX
-    result.drop_reason = DropReason::kRetryExhausted;
-  }
-  active_.reset();
-  reset_cw();
-  set_state(State::kIdle);
-  report_done(result);
-  post_tx_backoff();
-  maybe_start();
-}
-
-void MxProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
+  // Which receivers missed the data is unknown to MX: all of them fail.
+  retry_or_drop(active_.attempts, request().receivers);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +98,7 @@ void MxProtocol::handle_frame(const FramePtr& frame) {
   switch (frame->type) {
     case FrameType::kRts: {
       if (!frame->receiver_index(id()).has_value()) return;
-      if (state_ != State::kIdle && state_ != State::kContend) return;
+      if (!idle_or_contending()) return;
       stats_.control_rx_time += airtime_bytes(kRtsBytes);
       if (rx_.has_value()) return;  // already expecting another sender's data
       // Raise the CTS tone for one slot — simultaneous tones don't collide.

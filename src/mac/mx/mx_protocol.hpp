@@ -30,27 +30,18 @@ public:
   MxProtocol(Scheduler& scheduler, Radio& radio, ToneChannel& cts_tone,
              ToneChannel& nak_tone, Rng rng, MacParams params = MacParams{},
              Tracer* tracer = nullptr);
-  ~MxProtocol() override;
 
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
   [[nodiscard]] std::string name() const override { return "802.11MX"; }
 
-  void on_transmit_complete(const FramePtr& frame, bool aborted) override;
-  void on_carrier_hook(bool busy) override;
-
   enum class State : std::uint8_t { kIdle, kContend, kWfCtsTone, kWfNak };
-  [[nodiscard]] State state() const noexcept { return state_; }
+  [[nodiscard]] State state() const noexcept { return static_cast<State>(mac_state()); }
 
   // Sender-believed successes that may silently miss receivers; exposed so
   // the ablation bench can quantify the false-positive rate.
   [[nodiscard]] std::uint64_t believed_successes() const noexcept { return believed_ok_; }
 
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
-
 private:
   struct Active {
-    TxRequest req;
     unsigned attempts{0};
   };
   // Receiver-side expectation established by a group RTS.
@@ -60,30 +51,28 @@ private:
     EventId timer{kInvalidEvent};
   };
 
-  void on_contention_won() override;
+  // A node expecting another sender's data does not start its own.
+  void maybe_start() override {
+    if (!rx_.has_value()) Dot11Base::maybe_start();
+  }
+  void on_service_start() override { active_ = Active{}; }
+  void start_reliable() override;
+  void on_sent(const FramePtr& frame) override;
   void handle_frame(const FramePtr& frame) override;
+  void on_carrier_hook(bool busy) override;
 
-  void maybe_start();
-  void transmit_group_rts();
   void on_cts_tone_check();
   void on_nak_check();
   void attempt_failed();
-  void finish(bool success);
 
   void end_rx_role(bool nak);
   void on_rx_timeout();
 
-  // FSM edges funnel through here so rmacsim_mac_state_transitions_total
-  // counts every protocol the same way.
-  void set_state(State s) noexcept {
-    if (s != state_) ++stats_.state_transitions;
-    state_ = s;
-  }
+  void set_state(State s) noexcept { set_mac_state(static_cast<std::uint8_t>(s)); }
 
   ToneChannel& cts_tone_;
   ToneChannel& nak_tone_;
-  State state_{State::kIdle};
-  std::optional<Active> active_;
+  Active active_;
   std::optional<RxRole> rx_;
   SimTime anchor_{SimTime::zero()};
   EventId wait_timer_{kInvalidEvent};

@@ -29,55 +29,43 @@ const char* RmacProtocol::to_string(State s) noexcept {
 
 RmacProtocol::RmacProtocol(Scheduler& scheduler, Radio& radio, ToneChannel& rbt,
                            ToneChannel& abt, Rng rng, Params params, Tracer* tracer)
-    : scheduler_{scheduler},
-      radio_{radio},
+    : MacProtocol{scheduler, radio, rng, kBackoffStream, SimTime::us(20), params.mac, tracer},
       rbt_{rbt},
       abt_{abt},
-      rng_{rng},
-      params_{params},
-      tracer_{tracer},
-      backoff_{scheduler, SimTime::us(20), rng.fork(kBackoffStream)},
-      cw_{params.mac.cw_min} {
-  radio_.set_listener(this);
+      rbt_protection_{params.rbt_protection},
+      faults_{params.faults} {
+  swallow_drop_reports_ = faults_.swallow_drop_report;
   backoff_.set_channel(*this, [this] { on_backoff_fire(); });
-  if (params_.rbt_protection) rbt_.watch(id(), this);
+  if (rbt_protection_) rbt_.watch(id(), this);
 }
 
 RmacProtocol::~RmacProtocol() {
-  radio_.set_listener(nullptr);
   rbt_.unsubscribe_edges(id());
-  if (params_.rbt_protection) rbt_.watch(id(), nullptr);
-}
-
-void RmacProtocol::settle_stats() {
-  const BackoffEngine::SlotCounts& c = backoff_.slots();
-  stats_.backoff_idle_slots = c.idle;
-  stats_.backoff_busy_slots = c.busy;
+  if (rbt_protection_) rbt_.watch(id(), nullptr);
 }
 
 void RmacProtocol::set_state(State next, const char* why) {
-  if (state_ == next) return;
-  ++stats_.state_transitions;
+  const State prev = state();
+  if (!set_mac_state(static_cast<std::uint8_t>(next))) return;
   if (tracer_ != nullptr && tracer_->wants(TraceCategory::kMacState)) {
     TraceRecord r{scheduler_.now(), TraceCategory::kMacState, id(), {}};
     r.event = TraceEvent::kMacState;
-    r.aux = (static_cast<std::uint32_t>(state_) << 8) | static_cast<std::uint32_t>(next);
+    r.aux = (static_cast<std::uint32_t>(prev) << 8) | static_cast<std::uint32_t>(next);
     tracer_->emit(std::move(r), [&] {
-      return cat(to_string(state_), "->", to_string(next), " [", why, "]");
+      return cat(to_string(prev), "->", to_string(next), " [", why, "]");
     });
   }
-  state_ = next;
 }
 
 bool RmacProtocol::channels_idle() const {
   if (radio_.carrier_busy()) return false;
-  if (!params_.rbt_protection) return true;
+  if (!rbt_protection_) return true;
   return !rbt_.my_tone_on(id()) && !rbt_.sensed_at(id());
 }
 
 BackoffEngine::Forecast RmacProtocol::backoff_forecast() const {
   if (radio_.carrier_busy()) return {SimTime::max(), SimTime::max()};
-  if (!params_.rbt_protection) return {SimTime::zero(), SimTime::max()};
+  if (!rbt_protection_) return {SimTime::zero(), SimTime::max()};
   if (rbt_.my_tone_on(id())) return {SimTime::max(), SimTime::max()};
   const ToneChannel::QuietSpan q = rbt_.quiet_span(id());
   return {q.from, q.until};
@@ -87,70 +75,29 @@ BackoffEngine::Forecast RmacProtocol::backoff_forecast() const {
 // Service entry points
 
 void RmacProtocol::reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) {
-  assert(packet != nullptr);
-  if (receivers.empty()) {
-    ReliableSendResult ok;
-    ok.packet = std::move(packet);
-    ok.success = true;
-    report_done(std::move(ok));
-    return;
-  }
   // Protocol refinement (§3.4): cap the receivers per invocation; a larger
   // set is split across several Reliable Send invocations, each separated by
   // a backoff procedure (they are distinct queue entries).
-  const std::size_t cap = params_.mac.max_receivers;
+  const std::size_t cap = params_.max_receivers;
+  if (receivers.size() <= cap) {
+    MacProtocol::reliable_send(std::move(packet), std::move(receivers));
+    return;
+  }
   for (std::size_t base = 0; base < receivers.size(); base += cap) {
     const std::size_t end = std::min(base + cap, receivers.size());
-    if (!queue_admit(params_.mac)) {
-      ReliableSendResult r;
-      r.packet = packet;
-      r.failed_receivers.assign(receivers.begin() + static_cast<std::ptrdiff_t>(base),
-                                receivers.begin() + static_cast<std::ptrdiff_t>(end));
-      r.receivers = r.failed_receivers;
-      r.drop_reason = DropReason::kQueueOverflow;
-      if (!params_.faults.swallow_drop_report) report_done(r);
-      continue;
-    }
-    TxRequest req;
-    req.reliable = true;
-    req.packet = packet;
-    req.receivers.assign(receivers.begin() + static_cast<std::ptrdiff_t>(base),
-                         receivers.begin() + static_cast<std::ptrdiff_t>(end));
-    ++stats_.reliable_requests;
-    enqueue(std::move(req));
+    MacProtocol::reliable_send(packet,
+                               {receivers.begin() + static_cast<std::ptrdiff_t>(base),
+                                receivers.begin() + static_cast<std::ptrdiff_t>(end)});
   }
 }
 
-void RmacProtocol::unreliable_send(AppPacketPtr packet, NodeId dest) {
-  assert(packet != nullptr);
-  if (!queue_admit(params_.mac)) return;
-  TxRequest req;
-  req.reliable = false;
-  req.packet = std::move(packet);
-  req.dest = dest;
-  ++stats_.unreliable_requests;
-  enqueue(std::move(req));
-}
-
-void RmacProtocol::enqueue(TxRequest req) {
-  push_request(std::move(req));
-  maybe_start();
-}
-
 void RmacProtocol::maybe_start() {
-  if (state_ != State::kIdle && state_ != State::kBackoff) return;
-  if (!active_.has_value()) {
-    if (queue_.empty()) {
-      // Post-transmission backoff may still be counting down with nothing
-      // queued (BACKOFF with an empty queue is a legal state, C9).
-      if (!backoff_.running()) set_state(State::kIdle, "queue-empty");
-      return;
-    }
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
+  if (state() != State::kIdle && state() != State::kBackoff) return;
+  if (!serve_next()) {
+    // Post-transmission backoff may still be counting down with nothing
+    // queued (BACKOFF with an empty queue is a legal state, C9).
+    if (!backoff_.running()) set_state(State::kIdle, "queue-empty");
+    return;
   }
   // C1/C10: idle channels and BI == 0 -> transmit immediately; otherwise the
   // backoff procedure is (re)entered, drawing BI from CW if none is pending.
@@ -165,16 +112,9 @@ void RmacProtocol::maybe_start() {
 void RmacProtocol::on_backoff_fire() {
   // BI hit zero on an idle slot (C6/C14), or the post-TX backoff drained
   // with nothing to send (C9).
-  if (!active_.has_value() && queue_.empty()) {
+  if (!serve_next()) {
     set_state(State::kIdle, "C9");
     return;
-  }
-  if (!active_.has_value()) {
-    Active a;
-    a.req = std::move(queue_.front());
-    queue_.pop_front();
-    a.remaining = a.req.receivers;
-    active_.emplace(std::move(a));
   }
   begin_transmission();
 }
@@ -183,14 +123,14 @@ void RmacProtocol::on_backoff_fire() {
 // Sender side
 
 void RmacProtocol::begin_transmission() {
-  assert(active_.has_value());
+  assert(serving());
   backoff_.stop();
-  if (active_->req.reliable) {
+  const TxRequest& req = request();
+  if (req.reliable) {
     transmit_mrts();
   } else {
     set_state(State::kTxUnrdata, "C1/C6");
-    FramePtr frame = make_unreliable_data(id(), active_->req.dest, active_->req.packet,
-                                          active_->req.packet->seq);
+    FramePtr frame = make_unreliable_data(id(), req.dest, req.packet, req.packet->seq);
     tx_start_ = scheduler_.now();
     watch_rbt_during_tx();
     count_frame_tx(*frame);
@@ -199,11 +139,11 @@ void RmacProtocol::begin_transmission() {
 }
 
 void RmacProtocol::transmit_mrts() {
-  assert(active_.has_value() && !active_->remaining.empty());
+  assert(serving() && !active_.remaining.empty());
   set_state(State::kTxMrts, "C10/C14");
-  FramePtr frame = make_mrts(id(), active_->remaining, active_->req.packet->seq,
-                             active_->req.packet->journey);
-  ++active_->attempts;
+  FramePtr frame = make_mrts(id(), active_.remaining, request().packet->seq,
+                             request().packet->journey);
+  ++active_.attempts;
   ++stats_.mrts_transmissions;
   stats_.mrts_lengths_bytes.push_back(static_cast<double>(frame->wire_bytes()));
   tx_start_ = scheduler_.now();
@@ -213,7 +153,7 @@ void RmacProtocol::transmit_mrts() {
 }
 
 void RmacProtocol::watch_rbt_during_tx() {
-  if (!params_.rbt_protection) return;
+  if (!rbt_protection_) return;
   rbt_.subscribe_edges(id(), [this](NodeId) { on_rbt_edge(); });
   // A tone whose leading edge is already on the air would produce no new
   // edge event; detect it after one CCA period.
@@ -226,9 +166,9 @@ void RmacProtocol::on_rbt_edge() {
   // Step 3 (§3.2): a node transmitting an MRTS (or an unreliable data frame,
   // §3.3.3 step 2) that senses an RBT aborts to keep the protected
   // receiver's reception collision-free.
-  if (state_ != State::kTxMrts && state_ != State::kTxUnrdata) return;
+  if (state() != State::kTxMrts && state() != State::kTxUnrdata) return;
   if (!radio_.transmitting()) return;
-  if (params_.faults.ignore_rbt_during_tx) return;  // mutation: keep transmitting
+  if (faults_.ignore_rbt_during_tx) return;  // mutation: keep transmitting
   radio_.abort_transmission();
 }
 
@@ -253,15 +193,15 @@ void RmacProtocol::on_transmit_complete(const FramePtr& frame, bool aborted) {
       set_state(State::kWfAbt, "C19");
       anchor_ = scheduler_.now();
       abt_slot_ = 0;
-      abt_seen_.assign(active_->remaining.size(), false);
+      abt_seen_.assign(active_.remaining.size(), false);
       wait_timer_ = scheduler_.schedule_in(abt_.params().tone_slot(),
                                            [this] { on_abt_slot_boundary(); });
       return;
     case FrameType::kUnreliableData:
       // Aborted or not, the unreliable service performs exactly one
       // transmission attempt (§3.3.3); no recovery.
-      active_.reset();
-      post_tx_backoff();
+      end_service();
+      restart_backoff("C2/C13-post-tx");
       return;
     default:
       assert(false && "RMAC transmitted a foreign frame type");
@@ -270,7 +210,7 @@ void RmacProtocol::on_transmit_complete(const FramePtr& frame, bool aborted) {
 }
 
 void RmacProtocol::on_wf_rbt_expiry() {
-  assert(state_ == State::kWfRbt);
+  assert(state() == State::kWfRbt);
   wait_timer_ = kInvalidEvent;
   // Step 4 (§3.3.2): the sender needs any RBT during [MRTS end, +2tau+lambda];
   // it does not distinguish how many receivers raised it.
@@ -280,21 +220,21 @@ void RmacProtocol::on_wf_rbt_expiry() {
     return;
   }
   set_state(State::kTxRdata, "C18");
-  FramePtr frame = make_reliable_data(id(), active_->remaining, active_->req.packet,
-                                      active_->req.packet->seq);
+  FramePtr frame = make_reliable_data(id(), active_.remaining, request().packet,
+                                      request().packet->seq);
   tx_start_ = scheduler_.now();
   count_frame_tx(*frame);
   radio_.transmit(std::move(frame));  // protected by the receivers' RBTs; never aborted
 }
 
 void RmacProtocol::on_abt_slot_boundary() {
-  assert(state_ == State::kWfAbt);
+  assert(state() == State::kWfAbt);
   const SimTime labt = abt_.params().tone_slot();
   const SimTime from = anchor_ + static_cast<std::int64_t>(abt_slot_) * labt;
   abt_seen_[abt_slot_] = abt_.detected_in_window(id(), from, scheduler_.now());
   stats_.abt_check_time += labt;
   ++abt_slot_;
-  if (abt_slot_ < active_->remaining.size()) {
+  if (abt_slot_ < active_.remaining.size()) {
     wait_timer_ = scheduler_.schedule_in(labt, [this] { on_abt_slot_boundary(); });
     return;
   }
@@ -304,8 +244,8 @@ void RmacProtocol::on_abt_slot_boundary() {
 
 void RmacProtocol::conclude_reliable_attempt() {
   std::vector<NodeId> failed;
-  for (std::size_t i = 0; i < active_->remaining.size(); ++i) {
-    if (!abt_seen_[i]) failed.push_back(active_->remaining[i]);
+  for (std::size_t i = 0; i < active_.remaining.size(); ++i) {
+    if (!abt_seen_[i]) failed.push_back(active_.remaining[i]);
   }
   if (failed.empty()) {
     finish_active(/*success=*/true);
@@ -313,54 +253,34 @@ void RmacProtocol::conclude_reliable_attempt() {
   }
   // Mutation: a broken rebuild retransmits to the full set, spamming
   // receivers that already acknowledged.
-  if (!params_.faults.rebuild_keep_acked) active_->remaining = std::move(failed);
+  if (!faults_.rebuild_keep_acked) active_.remaining = std::move(failed);
   fail_attempt("missing-abt", DropReason::kAbtSilence);
 }
 
 void RmacProtocol::fail_attempt(const char* why, DropReason cause) {
-  assert(active_.has_value());
-  active_->last_fail = cause;
-  if (active_->attempts > params_.mac.retry_limit) {
+  assert(serving());
+  active_.last_fail = cause;
+  if (active_.attempts > params_.retry_limit) {
     // Retry limit exhausted: drop the frame (note (1), §3.3.2).
     finish_active(/*success=*/false);
     return;
   }
   ++stats_.retransmissions;
-  if (cw_ < params_.mac.cw_max) ++stats_.cw_escalations;
-  cw_ = std::min(2 * cw_ + 1, params_.mac.cw_max);
-  backoff_.draw(cw_);
-  backoff_.ensure_running(cw_);
-  set_state(State::kBackoff, why);
+  bump_cw();
+  restart_backoff(why);
 }
 
 void RmacProtocol::finish_active(bool success) {
-  assert(active_.has_value());
-  ReliableSendResult result;
-  result.packet = active_->req.packet;
-  result.success = success;
-  result.transmissions = active_->attempts;
-  result.receivers = active_->req.receivers;
-  if (success) {
-    ++stats_.reliable_delivered;
-  } else {
-    ++stats_.reliable_dropped;
-    result.failed_receivers = active_->remaining;
-    result.drop_reason = active_->last_fail == DropReason::kNone ? DropReason::kRetryExhausted
-                                                                 : active_->last_fail;
-  }
-  const bool swallow = !success && params_.faults.swallow_drop_report;
-  active_.reset();
-  cw_ = params_.mac.cw_min;
-  if (!swallow) report_done(result);
-  post_tx_backoff();
+  const DropReason reason = active_.last_fail == DropReason::kNone ? DropReason::kRetryExhausted
+                                                                   : active_.last_fail;
+  reset_cw();
+  complete(success, active_.attempts, std::move(active_.remaining), reason);
+  restart_backoff("C2/C13-post-tx");
 }
 
-void RmacProtocol::post_tx_backoff() {
-  // Backoff condition (3), §3.3.1: successive transmissions are always
-  // separated by a backoff procedure, giving other nodes a chance.
-  backoff_.draw(cw_);
-  backoff_.ensure_running(cw_);
-  set_state(State::kBackoff, "C2/C13-post-tx");
+void RmacProtocol::restart_backoff(const char* why) {
+  post_tx_backoff();
+  set_state(State::kBackoff, why);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +305,7 @@ void RmacProtocol::on_frame_received(const FramePtr& frame) {
 
 void RmacProtocol::handle_mrts(const FramePtr& frame) {
   // Appendix A: MRTS reception is only acted upon in IDLE/BACKOFF.
-  if (state_ != State::kIdle && state_ != State::kBackoff) return;
+  if (state() != State::kIdle && state() != State::kBackoff) return;
   const auto index = frame->receiver_index(id());
   if (!index.has_value()) return;  // overheard, not for us
   stats_.control_rx_time += rbt_.params().frame_airtime(frame->wire_bytes());
@@ -403,7 +323,7 @@ void RmacProtocol::handle_mrts(const FramePtr& frame) {
 
 void RmacProtocol::on_carrier_changed(bool busy) {
   backoff_.notify();
-  if (!rx_.has_value() || state_ != State::kWfRdata) return;
+  if (!rx_.has_value() || state() != State::kWfRdata) return;
   if (busy && !rx_->data_arriving) {
     // First bit of the data frame arrived before T_wf_rdata expired: cancel
     // the timer; the RBT continues to the end of the reception (step 5).
@@ -414,7 +334,7 @@ void RmacProtocol::on_carrier_changed(bool busy) {
     }
     // Mutation: drop RBT protection as soon as the data starts instead of
     // holding it to the end of the reception (step 5).
-    if (params_.faults.rbt_release_at_data_start) rbt_.set_tone(id(), false);
+    if (faults_.rbt_release_at_data_start) rbt_.set_tone(id(), false);
   } else if (!busy && rx_->data_arriving) {
     // Reception over without an intact data frame for us (collision, BER,
     // or a foreign frame): drop the role, no ABT.
@@ -426,7 +346,7 @@ void RmacProtocol::handle_reliable_data(const FramePtr& frame) {
   // Deliver every intact reliable data frame that lists us — even if we
   // missed the MRTS (no ABT in that case); see DESIGN.md §6.
   if (frame->receiver_index(id()).has_value()) deliver_up(*frame);
-  if (rx_.has_value() && state_ == State::kWfRdata && frame->transmitter == rx_->sender) {
+  if (rx_.has_value() && state() == State::kWfRdata && frame->transmitter == rx_->sender) {
     schedule_abt(rx_->index);
     end_rx_role(/*got_data=*/true);
   }
@@ -436,7 +356,7 @@ void RmacProtocol::schedule_abt(std::size_t index) {
   const SimTime labt = abt_.params().tone_slot();
   // Mutation knob shifts the pulse into the wrong slot (clamped at 0).
   const std::int64_t slot =
-      std::max<std::int64_t>(0, static_cast<std::int64_t>(index) + params_.faults.abt_slot_offset);
+      std::max<std::int64_t>(0, static_cast<std::int64_t>(index) + faults_.abt_slot_offset);
   const SimTime on_at = slot * labt;
   scheduler_.schedule_in(on_at, [this] { abt_.set_tone(id(), true); });
   scheduler_.schedule_in(on_at + labt, [this] { abt_.set_tone(id(), false); });
@@ -452,16 +372,9 @@ void RmacProtocol::end_rx_role(bool got_data) {
 }
 
 void RmacProtocol::on_wf_rdata_expiry() {
-  assert(rx_.has_value() && state_ == State::kWfRdata);
+  assert(rx_.has_value() && state() == State::kWfRdata);
   rx_->timer = kInvalidEvent;
   end_rx_role(/*got_data=*/false);
-}
-
-void RmacProtocol::for_each_pending_reliable(const PendingReliableFn& fn) const {
-  if (active_.has_value() && active_->req.reliable && active_->req.packet != nullptr) {
-    fn(active_->req.packet, active_->req.receivers);
-  }
-  MacProtocol::for_each_pending_reliable(fn);
 }
 
 }  // namespace rmacsim

@@ -16,7 +16,6 @@
 #include <optional>
 #include <vector>
 
-#include "mac/backoff.hpp"
 #include "mac/mac_protocol.hpp"
 #include "phy/medium.hpp"
 #include "phy/tone_channel.hpp"
@@ -68,29 +67,23 @@ public:
   ~RmacProtocol() override;
 
   // --- MacProtocol --------------------------------------------------------
+  // Applies the §3.4 receiver cap, then admits each chunk as its own
+  // invocation.
   void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override;
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override;
-  [[nodiscard]] NodeId id() const noexcept override { return radio_.id(); }
   [[nodiscard]] std::string name() const override { return "RMAC"; }
-  void settle_stats() override;
 
   // --- RadioListener ------------------------------------------------------
   void on_frame_received(const FramePtr& frame) override;
   void on_carrier_changed(bool busy) override;
   void on_transmit_complete(const FramePtr& frame, bool aborted) override;
 
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] unsigned contention_window() const noexcept { return cw_; }
-  [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
+  [[nodiscard]] State state() const noexcept { return static_cast<State>(mac_state()); }
 
   [[nodiscard]] static const char* to_string(State s) noexcept;
 
-  void for_each_pending_reliable(const PendingReliableFn& fn) const override;
-
 private:
-  // One Reliable/Unreliable Send invocation in progress.
+  // Per-invocation sender state of the request in service.
   struct Active {
-    TxRequest req;
     std::vector<NodeId> remaining;  // receivers still to acknowledge
     unsigned attempts{0};           // MRTS transmissions so far (incl. aborted)
     DropReason last_fail{DropReason::kNone};  // cause of the latest failed attempt
@@ -104,8 +97,8 @@ private:
   };
 
   void set_state(State next, const char* why);
-  void enqueue(TxRequest req);
-  void maybe_start();
+  void maybe_start() override;
+  void on_service_start() override { active_ = Active{.remaining = request().receivers}; }
   void on_backoff_fire();
   [[nodiscard]] bool channels_idle() const;
   // Backoff view of channels_idle(): its inputs are the carrier, this
@@ -124,7 +117,9 @@ private:
   void conclude_reliable_attempt();
   void fail_attempt(const char* why, DropReason cause);
   void finish_active(bool success);
-  void post_tx_backoff();
+  // Fresh draw from CW and count down in BACKOFF (condition (3), §3.3.1:
+  // successive transmissions are always separated by a backoff).
+  void restart_backoff(const char* why);
 
   void handle_mrts(const FramePtr& frame);
   void handle_reliable_data(const FramePtr& frame);
@@ -132,19 +127,12 @@ private:
   void on_wf_rdata_expiry();
   void schedule_abt(std::size_t index);
 
-  Scheduler& scheduler_;
-  Radio& radio_;
   ToneChannel& rbt_;
   ToneChannel& abt_;
-  Rng rng_;
-  Params params_;
-  Tracer* tracer_;
+  bool rbt_protection_;
+  Faults faults_;
 
-  State state_{State::kIdle};
-  BackoffEngine backoff_;
-  unsigned cw_;
-
-  std::optional<Active> active_;
+  Active active_;
   std::optional<RxRole> rx_;
 
   // Sender-side timing anchors.

@@ -156,7 +156,7 @@ std::vector<Vec2> draw_network_placement(const NetworkConfig& config, Rng& rng) 
       return pts;
     }
   }
-  throw std::runtime_error("could not draw a connected placement; "
+  throw UnconnectablePlacement("could not draw a connected placement; "
                            "lower density demands or disable ensure_connected");
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +45,13 @@ enum class ShardPartition : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(ShardPartition p) noexcept;
+
+// Thrown when no connected placement emerges within
+// NetworkConfig::placement_attempts draws: the density cannot be met.
+class UnconnectablePlacement : public std::runtime_error {
+public:
+  using std::runtime_error::runtime_error;
+};
 
 struct NetworkConfig {
   unsigned num_nodes{75};

@@ -8,6 +8,8 @@
 //                        (default 1; the nightly job passes the date)
 //   RMAC_FUZZ_OUT        file receiving one line per failing seed
 //                        (default fuzz_failures.txt, written only on failure)
+//                        — a failure is an audit violation, a conservation
+//                        or shard-safety breach, or an exception
 //   RMAC_FUZZ_SHARDS     run every scenario on the sharded engine.  A plain
 //                        integer N means N vertical stripes; "RxC" (e.g.
 //                        "2x2") means an R-row C-column grid partition.
@@ -16,14 +18,20 @@
 //                        sharded physics exact for mobile scenarios too, and
 //                        the fuzzer is where that claim gets hammered.
 //
+// Every scenario prints one line, flushed at once: `ok`, `FAIL`, or `skip`
+// for a draw whose density admits no connected placement (not a failure;
+// the summary line counts them).
+//
 // Reproduce any reported seed locally with the same binary:
 //   RMAC_FUZZ_ITERS=1 RMAC_FUZZ_BASE_SEED=<seed> ./audit_fuzz
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <string>
 
 #include "scenario/experiment.hpp"
+#include "scenario/network_builder.hpp"
 
 namespace {
 
@@ -75,6 +83,13 @@ rmacsim::ExperimentConfig scenario_for(std::uint64_t seed, const ShardSpec& shar
   c.warmup = SimTime::sec(10);
   c.drain = SimTime::sec(6);
   c.phy.bit_error_rate = knobs.bernoulli(0.3) ? 1e-5 : 0.0;
+  // Drawn after every knob above so those keep their values per seed: a
+  // finite queue half the time (admission refusals), and a drain too short
+  // for the backlog a quarter of the time (the end-of-run sweep).
+  c.mac.queue_limit = knobs.bernoulli(0.5)
+                          ? 0
+                          : 1 + static_cast<std::size_t>(knobs.uniform_int(std::uint64_t{8}));
+  if (knobs.bernoulli(0.25)) c.drain = SimTime::ms(1);
   c.audit = true;
   if (shards.shards > 1) {
     c.shards = shards.shards;
@@ -98,25 +113,42 @@ int main() {
   const std::string out_path = out_env == nullptr ? "fuzz_failures.txt" : out_env;
 
   std::uint64_t failures = 0;
+  std::uint64_t skipped = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = base + i;
     const rmacsim::ExperimentConfig c = scenario_for(seed, shards);
-    const rmacsim::ExperimentResult r = rmacsim::run_experiment(c);
-    const bool conserved = r.ledger.conservation_ok() && r.ledger.leaks() == 0;
-    if (r.audit.total == 0 && r.shard.safety_violations == 0 && conserved) {
-      std::printf("ok   %s\n", c.label().c_str());
+    std::string failure;
+    try {
+      const rmacsim::ExperimentResult r = rmacsim::run_experiment(c);
+      const bool conserved = r.ledger.conservation_ok() && r.ledger.leaks() == 0;
+      if (r.audit.total == 0 && r.shard.safety_violations == 0 && conserved) {
+        std::printf("ok   %s\n", c.label().c_str());
+        std::fflush(stdout);
+        continue;
+      }
+      std::printf("FAIL %s: %llu violation(s), %llu shard safety, conserved=%d\n%s\n",
+                  c.label().c_str(), static_cast<unsigned long long>(r.audit.total),
+                  static_cast<unsigned long long>(r.shard.safety_violations),
+                  conserved ? 1 : 0, r.audit.detail.c_str());
+      failure = r.audit.detail;
+    } catch (const rmacsim::UnconnectablePlacement& e) {
+      ++skipped;
+      std::printf("skip seed=%llu %s: %s\n", static_cast<unsigned long long>(seed),
+                  c.label().c_str(), e.what());
+      std::fflush(stdout);
       continue;
+    } catch (const std::exception& e) {
+      std::printf("FAIL %s: exception: %s\n", c.label().c_str(), e.what());
+      failure = std::string{"exception: "} + e.what();
     }
+    std::fflush(stdout);
     ++failures;
-    std::printf("FAIL %s: %llu violation(s), %llu shard safety, conserved=%d\n%s\n",
-                c.label().c_str(), static_cast<unsigned long long>(r.audit.total),
-                static_cast<unsigned long long>(r.shard.safety_violations),
-                conserved ? 1 : 0, r.audit.detail.c_str());
     std::ofstream out{out_path, std::ios::app};
-    out << "seed=" << seed << " " << c.label() << "\n" << r.audit.detail << "\n";
+    out << "seed=" << seed << " " << c.label() << "\n" << failure << "\n";
   }
-  std::printf("%llu/%llu scenarios audited clean\n",
-              static_cast<unsigned long long>(iters - failures),
-              static_cast<unsigned long long>(iters));
+  std::printf("%llu/%llu scenarios audited clean, %llu skipped (unconnectable placement)\n",
+              static_cast<unsigned long long>(iters - skipped - failures),
+              static_cast<unsigned long long>(iters - skipped),
+              static_cast<unsigned long long>(skipped));
   return failures == 0 ? 0 : 1;
 }

@@ -14,26 +14,36 @@ namespace {
 
 using namespace rmacsim::literals;
 
+// The radio a FakeMac is bound to: alone on its own medium, it never hears
+// anything.
+struct FakeRadio {
+  explicit FakeRadio(NodeId id) : radio{medium, id, mobility} {}
+  Scheduler scheduler;
+  Medium medium{scheduler, PhyParams{}, Rng{1}};
+  StationaryMobility mobility{{0, 0}};
+  Radio radio;
+};
+
 // A MAC stub recording unreliable broadcasts, for unit-testing the tree
-// logic without a radio.
-class FakeMac final : public MacProtocol {
+// logic without air time: every admitted request is taken out of service as
+// soon as it is queued.
+class FakeMac final : private FakeRadio, public MacProtocol {
 public:
-  explicit FakeMac(NodeId id) : id_{id} {}
-  void reliable_send(AppPacketPtr packet, std::vector<NodeId> receivers) override {
-    reliable.emplace_back(std::move(packet), std::move(receivers));
-  }
-  void unreliable_send(AppPacketPtr packet, NodeId dest) override {
-    unreliable.emplace_back(std::move(packet), dest);
-  }
-  [[nodiscard]] NodeId id() const noexcept override { return id_; }
+  explicit FakeMac(NodeId id)
+      : FakeRadio{id},
+        MacProtocol{scheduler, radio, Rng{1}, 0, SimTime::us(20), MacParams{}, nullptr} {}
   [[nodiscard]] std::string name() const override { return "fake"; }
   void on_frame_received(const FramePtr&) override {}
 
-  std::vector<std::pair<AppPacketPtr, std::vector<NodeId>>> reliable;
   std::vector<std::pair<AppPacketPtr, NodeId>> unreliable;
 
 private:
-  NodeId id_;
+  void maybe_start() override {
+    while (serve_next()) {
+      if (!request().reliable) unreliable.emplace_back(request().packet, request().dest);
+      end_service();
+    }
+  }
 };
 
 TEST(BlessTree, RootHasZeroHopsAndNoParent) {

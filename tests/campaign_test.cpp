@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -362,6 +364,79 @@ TEST(ExperimentConfigCheck, RunCampaignRejectsBadOverridesBeforeAnyCellRuns) {
   EXPECT_FALSE(std::filesystem::exists(dir));
   // The same flags with good values pass the check.
   EXPECT_EQ(exit_code(cat(base, " --rates 20 --nodes 20 --packets 5 --print-cells")), 0);
+}
+
+// Numeric flags are parsed strictly: the whole token must be one finite
+// number in range for the flag's type, or the CLI prints
+// `error: bad --<flag> '<value>'` and exits 2 before anything runs.  Every
+// value below is refused by the parser itself (never run these against a
+// binary that parses with atoi: a negative count wraps to ~4.29e9).
+
+// stderr of `cmd` (stdout discarded) and its exit code.
+std::pair<int, std::string> run_capture_stderr(const std::string& cmd) {
+  std::string err;
+  FILE* pipe = ::popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+  if (pipe == nullptr) return {-1, err};
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) err += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+}
+
+TEST(CliNumbers, RunExperimentRefusesMalformedNumbers) {
+  for (const auto& [args, flag, value] : std::vector<std::array<const char*, 3>>{
+           {"--packets 1e3", "--packets", "1e3"},
+           {"--rate 20x", "--rate", "20x"},
+           {"--rate nan", "--rate", "nan"},
+           {"--rate inf", "--rate", "inf"},
+           {"--nodes -3", "--nodes", "-3"},
+           {"--nodes 4294967296", "--nodes", "4294967296"},
+           {"--seed x", "--seed", "x"},
+           {"--seed ''", "--seed", ""},
+           {"--queue-limit 1.5", "--queue-limit", "1.5"},
+           {"--ber 1e-5x", "--ber", "1e-5x"},
+           {"--area 500x300m", "--area", "500x300m"},
+           {"--shards -1", "--shards", "-1"},
+           {"--lookahead-us -5", "--lookahead-us", "-5"},
+           {"--progress 1s", "--progress", "1s"},
+       }) {
+    const auto [code, err] =
+        run_capture_stderr(cat(RMAC_RUN_EXPERIMENT_BIN, " --protocol dcf ", args));
+    EXPECT_EQ(code, 2) << args;
+    EXPECT_NE(err.find(cat("error: bad ", flag, " '", value, "'")), std::string::npos)
+        << args << ": " << err;
+  }
+}
+
+TEST(CliNumbers, RunCampaignRefusesMalformedNumbers) {
+  const std::string dir = testing::TempDir() + "campaign_cli_numbers";
+  std::filesystem::remove_all(dir);
+  const std::string base = cat(RMAC_RUN_CAMPAIGN_BIN,
+                               " --protocols rmac --mobilities stationary --workers 0"
+                               " --store ", dir, "/store --out ", dir, "/out --print-cells");
+  for (const auto& [args, flag, value] : std::vector<std::array<const char*, 3>>{
+           {"--seeds 1,x", "--seeds", "x"},
+           {"--seeds 1,,2", "--seeds", ""},
+           {"--rates 20x", "--rates", "20x"},
+           {"--rates 10,nan", "--rates", "nan"},
+           {"--nodes -3", "--nodes", "-3"},
+           {"--packets 1e3", "--packets", "1e3"},
+           {"--workers -1", "--workers", "-1"},
+           {"--retries 1.5", "--retries", "1.5"},
+           {"--timeout 5m", "--timeout", "5m"},
+           {"--area 0x300", "--area", "0x300"},
+       }) {
+    const auto [code, err] = run_capture_stderr(cat(base, " ", args));
+    EXPECT_EQ(code, 2) << args;
+    EXPECT_NE(err.find(cat("error: bad ", flag, " '", value, "'")), std::string::npos)
+        << args << ": " << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  // Well-formed values, including exponents and fractions where the flag's
+  // type takes them, still parse.
+  EXPECT_EQ(exit_code(cat(base, " --seeds 1,2 --rates 2e1,12.5 --nodes 20 --packets 5"
+                                " --timeout 0.5 --area 500x300")),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -324,5 +324,43 @@ TEST(LossLedgerExperiment, LossyRunConservesEveryReception) {
   EXPECT_EQ(r.ledger.delivered, r.delivered);
 }
 
+// The same invariant for every MAC, on a configuration that reaches both ends
+// of the request lifecycle: a four-deep queue under a 120 pps source refuses
+// admissions (kQueueOverflow), and a 1 ms drain ends the run with requests
+// still queued or in service, so each protocol's end-of-run sweep must name
+// them (kEndOfRun) or they leak.
+class LifecycleConservation : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(LifecycleConservation, OverflowAndEndOfRunConserve) {
+  ExperimentConfig c;
+  c.protocol = GetParam();
+  c.num_nodes = 20;
+  c.area = Rect{250.0, 250.0};
+  c.rate_pps = 120.0;
+  c.num_packets = 30;
+  c.seed = 3;
+  c.warmup = SimTime::sec(12);
+  c.drain = SimTime::ms(1);
+  c.mac.queue_limit = 4;
+  const ExperimentResult r = run_experiment(c);
+  const LedgerSummary& s = r.ledger;
+  EXPECT_TRUE(s.conservation_ok()) << s.expected << " expected != " << s.delivered
+                                   << " delivered + " << s.total_dropped() << " dropped";
+  EXPECT_EQ(s.leaks(), 0u);
+  EXPECT_GT(dropped_as(s, DropReason::kQueueOverflow), 0u);
+  EXPECT_GT(dropped_as(s, DropReason::kEndOfRun), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMacs, LifecycleConservation,
+                         ::testing::Values(Protocol::kRmac, Protocol::kBmmm, Protocol::kDcf,
+                                           Protocol::kBmw, Protocol::kMx, Protocol::kLamm),
+                         [](const auto& param_info) {
+                           std::string n = to_string(param_info.param);
+                           for (char& ch : n) {
+                             if (ch == '.' || ch == '-') ch = '_';
+                           }
+                           return n;
+                         });
+
 }  // namespace
 }  // namespace rmacsim

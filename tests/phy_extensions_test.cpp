@@ -3,6 +3,9 @@
 // context of full protocol exchanges.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mac/frame_builders.hpp"
 #include "test_util.hpp"
 
@@ -61,16 +64,46 @@ TEST(QueueLimit, ZeroMeansUnbounded) {
 TEST(QueueLimit, AppliesToEveryProtocol) {
   MacParams params;
   params.queue_limit = 1;
-  for (int which = 0; which < 3; ++which) {
-    TestNet net;
-    MacProtocol* mac = nullptr;
-    switch (which) {
-      case 0: mac = &net.add_dcf({0, 0}, params); break;
-      case 1: mac = &net.add_bmmm({0, 0}, params); break;
-      case 2: mac = &net.add_mx({0, 0}, params); break;
+  constexpr std::uint32_t kSent = 5;
+  for (int which = 0; which < 6; ++which) {
+    for (const bool reliable : {false, true}) {
+      TestNet net;
+      MacProtocol* mac = nullptr;
+      switch (which) {
+        case 0: mac = &net.add_rmac({0, 0}, RmacProtocol::Params{params, true}); break;
+        case 1: mac = &net.add_dcf({0, 0}, params); break;
+        case 2: mac = &net.add_bmmm({0, 0}, params); break;
+        case 3: mac = &net.add_mx({0, 0}, params); break;
+        case 4: mac = &net.add_lamm({0, 0}, params); break;
+        case 5: mac = &net.add_bmw({0, 0}, params); break;
+      }
+      const std::vector<NodeId> receivers{1, 2};
+      for (std::uint32_t s = 0; s < kSent; ++s) {
+        if (reliable) {
+          mac->reliable_send(make_packet(0, s), receivers);
+        } else {
+          mac->unreliable_send(make_packet(0, s), kBroadcastId);
+        }
+      }
+      const MacStats& st = mac->stats();
+      const std::string label = mac->name() + (reliable ? " reliable" : " unreliable");
+      EXPECT_GE(st.queue_drops, 3u) << label;
+      const std::uint64_t admitted = reliable ? st.reliable_requests : st.unreliable_requests;
+      EXPECT_EQ(admitted + st.queue_drops, kSent) << label;
+      // Unreliable refusals are silent; each reliable refusal is reported
+      // once, failed for every receiver, with the overflow as its cause.
+      const auto& results = net.upper(0).results;
+      std::size_t refusals = 0;
+      for (const ReliableSendResult& r : results) {
+        if (r.drop_reason != DropReason::kQueueOverflow) continue;
+        ++refusals;
+        EXPECT_FALSE(r.success) << label;
+        EXPECT_EQ(r.receivers, receivers) << label;
+        EXPECT_EQ(r.failed_receivers, r.receivers) << label;
+      }
+      EXPECT_EQ(refusals, reliable ? st.queue_drops : 0u) << label;
+      EXPECT_EQ(results.size(), refusals) << label;  // nothing else finished yet
     }
-    for (std::uint32_t s = 0; s < 5; ++s) mac->unreliable_send(make_packet(0, s), kBroadcastId);
-    EXPECT_GE(mac->stats().queue_drops, 3u) << "protocol " << which;
   }
 }
 
