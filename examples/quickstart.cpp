@@ -1,11 +1,12 @@
 // Quickstart: build a four-node network by hand, send one reliable
 // multicast over RMAC, watch the deliveries and the sender's report, and
 // dump the run's flight-recorder artifacts — a Chrome trace_event JSON you
-// can open at ui.perfetto.dev and a journeys JSONL for
-// tools/journey_report.py.
+// can open at ui.perfetto.dev and a journeys JSONL for tools/rmacsim_report.py.
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart [outdir]        # artifacts land in outdir (default .)
+//   python3 tools/rmacsim_report.py check outdir/quickstart_trace.json
+//   python3 tools/rmacsim_report.py summary outdir/quickstart_journeys.jsonl
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -108,7 +109,8 @@ int main(int argc, char** argv) {
               s.control_tx_time.to_us(), s.reliable_data_tx_time.to_us());
 
   // 5. Export the flight-recorder artifacts.  Open the trace at
-  //    ui.perfetto.dev; post-mortem the JSONL with tools/journey_report.py.
+  //    ui.perfetto.dev; post-mortem the JSONL with
+  //    `tools/rmacsim_report.py summary`.
   const std::string trace_path = outdir + "/quickstart_trace.json";
   const std::string journeys_path = outdir + "/quickstart_journeys.jsonl";
   if (write_chrome_trace(trace_path, recorder) &&

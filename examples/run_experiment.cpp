@@ -22,17 +22,20 @@
 //
 // --obs-dir attaches the flight recorder and writes the Perfetto trace (packet
 // slices plus channel and MAC-state counter tracks), journey JSONL, and run
-// manifest into DIR; the manifest lists every file the run wrote.  On sharded
-// runs each shard gets its own counter tracks, and the trace additionally
-// carries per-worker window tracks and per-window shard-load counters.  --obs
-// attaches the recorder without writing artifacts (summary counts only) —
-// handy for measuring the recorder's observer effect.
+// manifest into DIR; the manifest lists every file the run wrote, and
+// `tools/rmacsim_report.py check DIR/<prefix>_manifest.json` checks them all
+// (`summary` on it prints them).  On sharded runs each shard gets its own
+// counter tracks, and the trace additionally carries per-worker window tracks
+// and per-window shard-load counters.  --obs attaches the recorder without
+// writing artifacts (summary counts only) — handy for measuring the
+// recorder's observer effect.
 //
 // --metrics-dir snapshots the metrics registry into DIR as
 // <prefix>_metrics.txt (OpenMetrics) and _metrics.json (totals and
 // distributions, including the rmacsim_shard_window_* series that
-// tools/shard_report.py reads); --metrics prints the
-// loss-ledger breakdown and conservation verdict without writing artifacts.
+// `tools/rmacsim_report.py summary` turns into a shard-load table); --metrics
+// prints the loss-ledger breakdown and conservation verdict without writing
+// artifacts.
 // --profile attaches the self-profiler and prints the hotspot table.
 // --worker <canonical> switches the binary into campaign-worker mode: the
 // argument is a canonical config string (scenario/config_key.hpp) produced by
@@ -332,7 +335,7 @@ int main(int argc, char** argv) {
   if (c.metrics.enabled) {
     std::printf("%-28s %llu series, conservation %s\n", "metrics snapshot",
                 static_cast<unsigned long long>(r.metrics.series),
-                r.metrics.conservation_ok ? "ok" : "FAILED");
+                r.ledger.conservation_ok() ? "ok" : "FAILED");
     if (!r.metrics.text_path.empty()) {
       std::printf("%-28s %s\n", "", r.metrics.text_path.c_str());
       std::printf("%-28s %s\n", "", r.metrics.json_path.c_str());

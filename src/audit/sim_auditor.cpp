@@ -157,7 +157,7 @@ void SimAuditor::on_tx_start(const TraceRecord& rec) {
           // [at - cca, at] at any in-range distance cannot match below.
           if (iv.on > rec.at - config_.phy.cca) continue;
           if (iv.off != SimTime::max() && iv.off + pmax_ <= rec.at) continue;
-          const double d = dist(n, iv.node);
+          const double d = dist(n, iv.node, rec.at);
           if (d < 0.0 || d > config_.phy.range_m - kRangeMargin) continue;
           const SimTime prop = config_.phy.propagation_delay(d);
           const SimTime audible_from = iv.on + prop;
@@ -254,7 +254,7 @@ void SimAuditor::check_rbt_abort(const TxRec& t) {
     // before the transmission started or begin after it ended cannot match.
     if (iv.on >= t.end) continue;
     if (iv.off != SimTime::max() && iv.off + pmax_ <= t.start) continue;
-    const double d = dist(t.tx, iv.node);
+    const double d = dist(t.tx, iv.node, t.end);
     if (d < 0.0 || d > config_.phy.range_m - kRangeMargin) continue;
     const SimTime prop = config_.phy.propagation_delay(d);
     const SimTime audible_from = iv.on + prop;
@@ -287,7 +287,7 @@ bool SimAuditor::abt_audible_in(NodeId s, SimTime from, SimTime to) const {
     // exact, so intervals failing either cannot reach a CCA-long overlap.
     if (iv.on > to - config_.phy.cca) continue;
     if (iv.off != SimTime::max() && iv.off + pmax_ < from + config_.phy.cca) continue;
-    const double d = dist(s, iv.node);
+    const double d = dist(s, iv.node, to);
     if (d < 0.0 || d > config_.phy.range_m) continue;
     const SimTime prop = config_.phy.propagation_delay(d);
     const SimTime lo = std::max(iv.on + prop, from);
@@ -365,7 +365,7 @@ void SimAuditor::check_clean_delivery(NodeId r, const TraceRecord& rec) {
   const auto it = tx_seq_by_frame_.find(rec.frame.get());
   if (it == tx_seq_by_frame_.end()) return;
   const TxRec& own = txs_[it->second - tx_seq_base_];
-  const double ds = dist(own.tx, r);
+  const double ds = dist(own.tx, r, rec.at);
   if (ds < 0.0) return;
   const SimTime prop = config_.phy.propagation_delay(ds);
   const SimTime rx_from = own.start + prop;
@@ -381,7 +381,7 @@ void SimAuditor::check_clean_delivery(NodeId r, const TraceRecord& rec) {
     // rx_from) and hi <= min(t.end + pmax_, rx_to) at any in-range distance.
     if (t.start >= rx_to) return false;
     if (t.end != SimTime::max() && t.end + pmax_ <= rx_from) return false;
-    const double d = dist(t.tx, r);
+    const double d = dist(t.tx, r, rec.at);
     if (d < 0.0 || d > ir) return false;
     const SimTime p = config_.phy.propagation_delay(d);
     const SimTime lo = std::max(t.start + p, rx_from);
@@ -405,7 +405,7 @@ void SimAuditor::check_clean_delivery(NodeId r, const TraceRecord& rec) {
 }
 
 bool SimAuditor::contract_still_live(NodeId r, const RxContract& c, SimTime data_first_bit,
-                                     const Frame& data) const {
+                                     const Frame& data, SimTime now) const {
   // The WF_RDATA timer: the first bit must land within tone_slot + tau of the
   // MRTS reception end.
   if (data_first_bit > c.mrts_rx_end + config_.phy.tone_slot() + config_.phy.max_propagation) {
@@ -423,7 +423,7 @@ bool SimAuditor::contract_still_live(NodeId r, const RxContract& c, SimTime data
     const TxRec& t = *it;
     if (t.end == SimTime::max() || t.start >= data_first_bit) continue;  // gone >= start
     if (t.frame.get() == &data || t.tx == r) continue;
-    const double d = dist(t.tx, r);
+    const double d = dist(t.tx, r, now);
     if (d < 0.0 || d > ir) continue;
     const SimTime p = config_.phy.propagation_delay(d);
     const SimTime arrive = t.start + p;
@@ -458,13 +458,13 @@ void SimAuditor::check_rmac_delivery(NodeId r, const TraceRecord& rec) {
     return;
   }
   const TxRec& dtx = txs_[it->second - tx_seq_base_];
-  const double d = dist(f.transmitter, r);
+  const double d = dist(f.transmitter, r, rec.at);
   if (d < 0.0) {
     c.valid = false;
     return;
   }
   const SimTime data_first_bit = dtx.start + config_.phy.propagation_delay(d);
-  if (contract_still_live(r, c, data_first_bit, f)) {
+  if (contract_still_live(r, c, data_first_bit, f, rec.at)) {
     // The receiver committed at MRTS time; its RBT must have been up
     // continuously from before the data's first bit until now (data end).
     const ToneState& rbt = rbt_state_[r];

@@ -90,10 +90,11 @@ public:
     // RMAC: tone-protection invariants (tx-during-rbt, rbt-abort) are only
     // meaningful when the protocol runs with rbt_protection on.
     bool rbt_protection{true};
-    // Ground-truth distance in metres between two ids at the current sim
-    // time; return a negative value for ids the oracle cannot place (such
-    // ids are treated as out of range).  Required.
-    std::function<double(NodeId, NodeId)> distance;
+    // Ground-truth distance in metres between two ids at sim time `t` (never
+    // later than now: each check asks about the instant the protocol acted
+    // on); return a negative value for ids the oracle cannot place (such ids
+    // are treated as out of range).  Required.
+    std::function<double(NodeId, NodeId, SimTime)> distance;
     // Which nodes run the audited protocol.  Null = all.  Test rigs exempt
     // bare radios and scripted tone sources here; their signals still count
     // as interference / audible tones.
@@ -178,9 +179,11 @@ private:
   // reception and the first bit of the data frame (any such signal ends the
   // WF_RDATA role, releasing the RBT legally).
   [[nodiscard]] bool contract_still_live(NodeId r, const RxContract& c,
-                                         SimTime data_first_bit, const Frame& data) const;
+                                         SimTime data_first_bit, const Frame& data,
+                                         SimTime now) const;
   // Would the ABT slot [from, from+labt) have sounded at listener `s`?
-  // Mirrors ToneChannel::detected_in_window (any source, >= CCA overlap).
+  // Mirrors ToneChannel::detected_in_window (any source, >= CCA overlap),
+  // with distances at the slot's end, when the sender sampled it.
   [[nodiscard]] bool abt_audible_in(NodeId s, SimTime from, SimTime to) const;
 
   // First entry of `txs_` whose signal could still be on the air at or after
@@ -192,8 +195,10 @@ private:
   [[nodiscard]] bool is_audited(NodeId id) const {
     return !config_.audited || config_.audited(id);
   }
-  // Distance in metres, or a negative value when unknown.
-  [[nodiscard]] double dist(NodeId a, NodeId b) const { return config_.distance(a, b); }
+  // Distance in metres at time `t`, or a negative value when unknown.
+  [[nodiscard]] double dist(NodeId a, NodeId b, SimTime t) const {
+    return config_.distance(a, b, t);
+  }
 
   void record(AuditInvariant inv, SimTime at, NodeId node, std::string detail);
   void prune(SimTime now);

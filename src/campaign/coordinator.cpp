@@ -161,7 +161,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
       st.done = true;
       st.ledger = rec.result.ledger;
       st.outcome.state = CellOutcome::State::kCached;
-      st.outcome.conservation_ok = rec.result.metrics.conservation_ok;
+      st.outcome.conservation_ok = rec.result.ledger.conservation_ok();
       st.outcome.events = rec.result.events_executed;
       ++result.cached;
     } else {
@@ -183,7 +183,7 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     if (!store.save_line(rec.key, record_line, &error)) return false;
     CellState& st = states[cell_idx];
     st.ledger = rec.result.ledger;
-    st.outcome.conservation_ok = rec.result.metrics.conservation_ok;
+    st.outcome.conservation_ok = rec.result.ledger.conservation_ok();
     st.outcome.events = rec.result.events_executed;
     return true;
   };

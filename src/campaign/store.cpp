@@ -161,7 +161,6 @@ bool parse_cell_record(std::string_view line, CellRecord& out, std::string* erro
     return set_error(error, cat("cell record: ", snap_error));
   }
   r.metrics.series = scratch.series_count();
-  r.metrics.conservation_ok = r.ledger.conservation_ok();
   r.metrics.json = rec.snapshot_json;
 
   out = std::move(rec);

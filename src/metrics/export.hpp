@@ -1,5 +1,6 @@
 // Metrics snapshot serializers: OpenMetrics text and a JSON document that
-// tools/metrics_report.py can diff and conservation-check offline.
+// `tools/rmacsim_report.py` can summarize, diff and conservation-check
+// offline.
 //
 // OpenMetrics naming scheme (see docs/simulator_internals.md):
 //   rmacsim_<subsystem>_<quantity>[_total]{label="value",...} <number>
@@ -24,8 +25,8 @@ namespace rmacsim {
 [[nodiscard]] std::string to_openmetrics(const MetricsRegistry& registry);
 
 // Render registry + ledger (+ optional profiler report) as one JSON
-// document.  `ledger` is required: the conservation re-check in
-// tools/metrics_report.py reads it.  `profile` may be nullptr.
+// document.  `ledger` is required: the conservation re-check of
+// `tools/rmacsim_report.py check` reads it.  `profile` may be nullptr.
 [[nodiscard]] std::string to_metrics_json(const MetricsRegistry& registry,
                                           const LedgerSummary& ledger,
                                           const Profiler::Report* profile);
@@ -33,8 +34,9 @@ namespace rmacsim {
 // Same document with one extra top-level member appended after the standard
 // keys: `"<extra_key>": <extra_json>` where `extra_json` is a pre-rendered
 // JSON value.  The campaign coordinator uses this to attach its
-// rmacsim-campaign-aggregate-v1 block while keeping the document readable by
-// tools/metrics_report.py.  Pass an empty key for the plain document.
+// rmacsim-campaign-aggregate-v1 block while keeping the document readable as
+// a plain snapshot by tools/rmacsim_report.py.  Pass an empty key for the
+// plain document.
 [[nodiscard]] std::string to_metrics_json(const MetricsRegistry& registry,
                                           const LedgerSummary& ledger,
                                           const Profiler::Report* profile,

@@ -356,10 +356,9 @@ bool write_journeys_jsonl(const std::string& path, const std::vector<Journey>& j
 
 bool write_run_manifest(const std::string& path, const std::vector<ManifestField>& fields) {
   Buf b;
-  b.lit("{\n");
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    const ManifestField& f = fields[i];
-    b.lit("  \"");
+  b.lit("{\n  \"schema\": \"rmacsim-run-v1\"");
+  for (const ManifestField& f : fields) {
+    b.lit(",\n  \"");
     b.escaped(f.key);
     b.lit("\": ");
     if (f.raw) {
@@ -369,9 +368,8 @@ bool write_run_manifest(const std::string& path, const std::vector<ManifestField
       b.escaped(f.value);
       b.ch('"');
     }
-    b.lit(i + 1 < fields.size() ? ",\n" : "\n");
   }
-  b.lit("}\n");
+  b.lit("\n}\n");
   return b.flush_to(path);
 }
 

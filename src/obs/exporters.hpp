@@ -10,11 +10,13 @@
 //    here.
 //  * write_journeys_jsonl — one JSON object per journey per line; the
 //    self-contained per-packet story (journey_test reconstructs protocol
-//    behaviour from this file alone, and tools/journey_report.py renders
-//    post-mortems from it).
+//    behaviour from this file alone, and `tools/rmacsim_report.py summary`
+//    renders post-mortems from it).
 //  * write_run_manifest   — run provenance (config, seed, digests) and the
-//    index of the files the run wrote, as flat JSON; fields are passed in
-//    generically so this layer stays below scenario/.
+//    index of the files the run wrote, as flat JSON that opens with
+//    "schema": "rmacsim-run-v1"; fields are passed in generically so this
+//    layer stays below scenario/.  `tools/rmacsim_report.py check` on the
+//    manifest checks every file it indexes.
 //
 // All writers return false (and write nothing further) on I/O failure.
 #pragma once

@@ -258,7 +258,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const std::size_t S = net.shard_count();
   const bool sharded = S > 1;
   const NodeId n = config.num_nodes;
-  net.set_safety_check(config.shard_safety_check);
 
   // Window telemetry feeds the metrics snapshot, the trace, and the
   // heartbeat's imbalance field, so any of those turns it on.
@@ -291,11 +290,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           config.protocol == Protocol::kRmac ? AuditedMac::kRmac : AuditedMac::kDot11Family;
       ac.phy = config.phy;
       ac.rbt_protection = config.rbt_protection;
-      ac.distance = [&net, s, n](NodeId a, NodeId b) -> double {
+      ac.distance = [&net, s, n](NodeId a, NodeId b, SimTime t) -> double {
         if (a >= n || b >= n || net.shard_of(a) != s || net.shard_of(b) != s) return -1.0;
-        const SimTime now = net.shard(s).scheduler.now();
-        return distance(net.node(a).mobility->position(now),
-                        net.node(b).mobility->position(now));
+        return distance(net.node(a).mobility->position(t), net.node(b).mobility->position(t));
       };
       ac.audited = [&net, s, n](NodeId id) { return id < n && net.shard_of(id) == s; };
       auditors.push_back(std::make_unique<SimAuditor>(net.shard(s).tracer, std::move(ac)));
@@ -519,7 +516,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     collect_metrics(reg, net);
     collect_ledger(reg, r.ledger);
     r.metrics.series = reg.series_count();
-    r.metrics.conservation_ok = r.ledger.conservation_ok();
     if (config.metrics.keep_json) {
       r.metrics.json = to_metrics_json(
           reg, r.ledger, profiler.has_value() ? &r.profile.report : nullptr);

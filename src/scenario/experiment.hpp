@@ -41,9 +41,6 @@ struct ExperimentConfig {
   unsigned shard_threads{0};
   // Window-width floor passed to the engine: windows are max(tau, floor).
   SimTime shard_lookahead_floor{SimTime::us(200)};
-  // Count cross-shard messages that land outside the legal (prev, barrier]
-  // window (tests); totals ride on ExperimentResult::shard.
-  bool shard_safety_check{false};
   // Spatial partitioner (stripes / R×C grid / recursive coordinate
   // bisection) and the grid shape (0 = derive near-square).
   ShardPartition shard_partition{ShardPartition::kStripes};
@@ -187,7 +184,6 @@ struct ExperimentResult {
   // Populated when config.metrics.enabled is set.
   struct MetricsSummary {
     std::uint64_t series{0};      // registry series in the snapshot
-    bool conservation_ok{false};  // ledger verdict carried into the snapshot
     std::string text_path;        // OpenMetrics artifact ("" if not written)
     std::string json_path;
     std::string json;             // the JSON document itself (keep_json only)

@@ -817,7 +817,7 @@ void Network::drain_and_apply() {
         return a.seq < b.seq;
       });
       for (const Msg& m : inbox_) {
-        if (safety_check_ && (m.at > clock_ || m.at < prev_clock_)) ++violations_;
+        if (m.at > clock_ || m.at < prev_clock_) ++violations_;
         if (telemetry_ != nullptr) ++win_msgs_[static_cast<std::size_t>(m.kind)];
         apply_msg(shard_of_[m.node], dest, m);
       }

@@ -187,9 +187,6 @@ public:
   // Static helper: is the placement a connected disk graph?
   [[nodiscard]] static bool placement_connected(const std::vector<Vec2>& pts, double range_m);
 
-  // Count structural safety violations while applying messages (tests).
-  void set_safety_check(bool on) noexcept { safety_check_ = on; }
-
   // Per-window worker setup seam (profiler attachment).  Install before the
   // first run_until.
   void set_worker_hook(std::function<void(unsigned)> hook);
@@ -304,7 +301,6 @@ private:
   std::uint64_t windows_{0};
   std::uint64_t messages_{0};
   std::uint64_t violations_{0};
-  bool safety_check_{false};
   unsigned threads_used_{1};
 
   // Plan-phase scratch (serial; reused across barriers).

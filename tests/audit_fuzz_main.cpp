@@ -1,4 +1,4 @@
-// Nightly fuzz driver (not a ctest entry): run randomized full-stack
+// Nightly fuzz driver: run randomized full-stack
 // scenarios with the SimAuditor attached and fail loudly on any invariant
 // violation.  Knobs come from the environment so the CI job controls scale
 // and the failing seeds land in an artifact:
@@ -93,7 +93,6 @@ rmacsim::ExperimentConfig scenario_for(std::uint64_t seed, const ShardSpec& shar
   c.audit = true;
   if (shards.shards > 1) {
     c.shards = shards.shards;
-    c.shard_safety_check = true;
     if (shards.rows > 0) {
       c.shard_partition = ShardPartition::kGrid;
       c.shard_grid_rows = shards.rows;

@@ -73,7 +73,6 @@ TEST(AuditMatrix, ShardedPaperScenarioAuditsCleanForEveryProtocol) {
     for (const std::uint64_t seed : {1u, 3u}) {
       ExperimentConfig c = paper_config(proto, seed);
       c.shards = 2;
-      c.shard_safety_check = true;
       configs.push_back(c);
     }
   }

@@ -158,7 +158,7 @@ TEST(AuditMutation, RbtProtectionAblationIsFlaggedAsTxDuringRbt) {
   ac.mac = AuditedMac::kRmac;
   ac.phy = PhyParams{};
   ac.rbt_protection = true;
-  ac.distance = [tone](NodeId x, NodeId y) -> double {
+  ac.distance = [tone](NodeId x, NodeId y, SimTime) -> double {
     const auto pos = [tone](NodeId id) -> std::optional<Vec2> {
       if (id == 0) return Vec2{0, 0};
       if (id == 1) return Vec2{40, 0};

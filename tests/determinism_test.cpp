@@ -98,7 +98,6 @@ ExperimentConfig sharded_config(Protocol p, unsigned shards, unsigned threads) {
   c.shards = shards;
   c.shard_threads = threads;
   c.trace_digest = true;
-  c.shard_safety_check = true;
   return c;
 }
 

@@ -278,6 +278,7 @@ TEST(Exporters, ManifestEscapesStringsAndEmitsRawFieldsVerbatim) {
       {"nested", "{\"a\":1}", true},
   }));
   const std::string doc = slurp(path);
+  EXPECT_EQ(doc.rfind("{\n  \"schema\": \"rmacsim-run-v1\",\n  \"label\": ", 0), 0u);
   EXPECT_NE(doc.find("\"label\": \"has \\\"quotes\\\" and\\nnewline\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"seed\": 42"), std::string::npos);

@@ -32,7 +32,6 @@ ExperimentConfig strict_config(Protocol p, std::uint64_t seed, unsigned shards) 
   c.shards = shards;
   c.shard_threads = 1;  // invariance across threads is determinism_test's job
   c.shard_lookahead_floor = SimTime::zero();  // window == tau: strict mode
-  c.shard_safety_check = true;
   return c;
 }
 

@@ -250,16 +250,16 @@ private:
     ac.mac = *audit_family_;
     ac.phy = phy_;
     ac.rbt_protection = audit_rbt_protection_;
-    ac.distance = [this](NodeId a, NodeId b) { return oracle_distance(a, b); };
+    ac.distance = [this](NodeId a, NodeId b, SimTime t) { return oracle_distance(a, b, t); };
     ac.audited = [this](NodeId id) { return audited_ids_.contains(id); };
     auditor_.emplace(tracer_, std::move(ac));
   }
 
-  [[nodiscard]] double oracle_distance(NodeId a, NodeId b) const {
-    const auto pos = [this](NodeId id) -> std::optional<Vec2> {
-      if (id < nodes_.size()) return nodes_[id].mobility->position(sched_.now());
+  [[nodiscard]] double oracle_distance(NodeId a, NodeId b, SimTime t) const {
+    const auto pos = [this, t](NodeId id) -> std::optional<Vec2> {
+      if (id < nodes_.size()) return nodes_[id].mobility->position(t);
       if (id > kToneSourceFirstId && id - kToneSourceFirstId <= tone_mobs_.size()) {
-        return tone_mobs_[id - kToneSourceFirstId - 1]->position(sched_.now());
+        return tone_mobs_[id - kToneSourceFirstId - 1]->position(t);
       }
       return std::nullopt;
     };
