@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "mac/backoff.hpp"
@@ -221,6 +222,64 @@ void BM_SpatialGridQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SpatialGridQuery)->Arg(75)->Arg(300)->Arg(1000);
+
+// Set-up connectivity check on the placement a run keeps: draws at the
+// paper's density (75 nodes on 500x300 m, both sides scaled with sqrt(n);
+// 10 000 nodes cover the area of the 4472 m square) until one is connected,
+// as Network's placement loop does.  A third of paper-scale draws are
+// disconnected; an all-pairs DFS can stop early on those when node 0 sits in
+// a small component, so a connected draw is the representative full check.
+// The /10000 : /75 ratio is CI-gated at 1000x: the node ratio is 133x and
+// the grid check measures a few hundred x, while an all-pairs check would
+// be ~30 000x.
+void BM_PlacementConnected(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double scale = std::sqrt(static_cast<double>(n) / 75.0);
+  const double range_m = PhyParams{}.range_m;
+  Rng rng{1};
+  std::vector<Vec2> pts(n);
+  unsigned draws = 0;
+  do {
+    if (++draws > 200) {
+      state.SkipWithError("no connected placement in 200 draws");
+      return;
+    }
+    for (Vec2& p : pts) p = Vec2{rng.uniform(0.0, 500.0 * scale), rng.uniform(0.0, 300.0 * scale)};
+  } while (!Network::placement_connected(pts, range_m));
+  for (auto _ : state) {
+    bool connected = Network::placement_connected(pts, range_m);
+    benchmark::DoNotOptimize(connected);
+  }
+  state.counters["draws"] = static_cast<double>(draws);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PlacementConnected)->Arg(75)->Arg(10'000);
+
+// Building one paper-scale network (placement redraws, then every node's
+// stack on the medium and both tone channels) — the set-up paid before the
+// first event of every run.  `allocs_per_node` counts heap allocations
+// made by the constructor, per node.
+void BM_NetworkBuild(benchmark::State& state) {
+  NetworkConfig config;
+  config.num_nodes = static_cast<unsigned>(state.range(0));
+  config.seed = 1;
+  std::uint64_t allocs = 0;
+  std::optional<Network> net;
+  for (auto _ : state) {
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    net.emplace(config);
+    allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+    benchmark::DoNotOptimize(&*net);
+    state.PauseTiming();  // teardown is not set-up
+    net.reset();
+    state.ResumeTiming();
+  }
+  state.counters["allocs_per_node"] =
+      static_cast<double>(allocs) /
+      (static_cast<double>(state.iterations()) * static_cast<double>(config.num_nodes));
+}
+BENCHMARK(BM_NetworkBuild)->Arg(75);
 
 void BM_ToneWindowQuery(benchmark::State& state) {
   Scheduler sched;

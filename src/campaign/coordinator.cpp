@@ -652,9 +652,9 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
   m.lit("\",\n  \"revision\": \"");
   m.escaped(build_revision());
   m.lit("\",\n  \"store\": \"");
-  m.escaped(options.store_dir);
+  m.escaped(manifest_relative_path(options.store_dir, result.manifest_path));
   m.lit("\",\n  \"aggregate\": \"");
-  m.escaped(result.aggregate_path);
+  m.escaped(manifest_relative_path(result.aggregate_path, result.manifest_path));
   m.lit("\",\n  \"total\": ");
   m.u64(result.total);
   m.lit(", \"cached\": ");
@@ -690,8 +690,9 @@ CampaignResult run_campaign(const std::vector<CampaignCell>& cells,
     m.lit(", \"wall_s\": ");
     m.dbl(o.wall_s);
     m.lit(", \"record\": \"");
-    m.escaped(o.state == CellOutcome::State::kFailed ? std::string{}
-                                                     : store.path_for(o.key));
+    m.escaped(o.state == CellOutcome::State::kFailed
+                  ? std::string{}
+                  : manifest_relative_path(store.path_for(o.key), result.manifest_path));
     m.lit("\", \"error\": \"");
     m.escaped(o.error);
     m.lit("\"}");

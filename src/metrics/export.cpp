@@ -256,4 +256,15 @@ bool write_metrics_artifacts(const MetricsRegistry& registry, const LedgerSummar
   return text.flush_to(text_path) && json.flush_to(json_path);
 }
 
+std::string manifest_relative_path(const std::string& path, const std::string& manifest_path) {
+  namespace fs = std::filesystem;
+  if (path.empty()) return path;
+  std::error_code ec;
+  const fs::path file = fs::absolute(path, ec).lexically_normal();
+  const fs::path dir = fs::absolute(manifest_path, ec).lexically_normal().parent_path();
+  if (ec) return path;
+  const fs::path rel = file.lexically_relative(dir);
+  return rel.empty() ? file.string() : rel.string();
+}
+
 }  // namespace rmacsim

@@ -51,4 +51,11 @@ bool write_metrics_artifacts(const MetricsRegistry& registry, const LedgerSummar
                              const std::string& prefix, std::string& text_path,
                              std::string& json_path);
 
+// `path` as a run or campaign manifest at `manifest_path` indexes it:
+// relative to the manifest's own directory, so an artifact directory still
+// resolves after it is copied or moved.  Falls back to the absolute path
+// when no relative one exists (another root), and leaves "" as "".
+[[nodiscard]] std::string manifest_relative_path(const std::string& path,
+                                                 const std::string& manifest_path);
+
 }  // namespace rmacsim

@@ -16,24 +16,23 @@ constexpr int kMaxCellsPerAxis = 1024;
 SpatialIndex::SpatialIndex(double cell_m) : cell_m_{cell_m > 0.0 ? cell_m : 1.0} {}
 
 void SpatialIndex::insert(NodeId id, MobilityModel& mobility, void* payload) {
-  auto it = index_of_.find(id);
-  if (it != index_of_.end()) {
-    Entry& e = entries_[it->second];
+  if (id >= index_of_.size()) index_of_.resize(static_cast<std::size_t>(id) + 1, kNoSlot);
+  if (const std::uint32_t slot = index_of_[id]; slot != kNoSlot) {
+    Entry& e = entries_[slot];
     e.mobility = &mobility;
     e.payload = payload;
     e.moving = mobility.max_speed() > 0.0;
   } else {
-    index_of_.emplace(id, static_cast<std::uint32_t>(entries_.size()));
+    index_of_[id] = static_cast<std::uint32_t>(entries_.size());
     entries_.push_back(Entry{id, &mobility, payload, Vec2{}, mobility.max_speed() > 0.0});
   }
   dirty_ = true;
 }
 
 void SpatialIndex::remove(NodeId id) noexcept {
-  const auto it = index_of_.find(id);
-  if (it == index_of_.end()) return;
-  const std::uint32_t slot = it->second;
-  index_of_.erase(it);
+  if (id >= index_of_.size() || index_of_[id] == kNoSlot) return;
+  const std::uint32_t slot = index_of_[id];
+  index_of_[id] = kNoSlot;
   if (slot + 1 != entries_.size()) {
     entries_[slot] = entries_.back();
     index_of_[entries_[slot].id] = slot;

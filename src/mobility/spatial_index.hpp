@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -146,8 +145,9 @@ private:
   [[nodiscard]] std::pair<int, int> cell_of(Vec2 p) const noexcept;
 
   double cell_m_;
-  std::vector<Entry> entries_;                     // dense, swap-removed
-  std::unordered_map<NodeId, std::uint32_t> index_of_;  // id -> entries_ slot
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  std::vector<Entry> entries_;          // dense, swap-removed
+  std::vector<std::uint32_t> index_of_;  // by NodeId: entries_ slot or kNoSlot
 
   // Grid of the current epoch (CSR buckets over entries_ indices).
   Vec2 origin_{};

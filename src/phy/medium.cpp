@@ -16,12 +16,15 @@ Medium::Medium(Scheduler& scheduler, PhyParams params, Rng rng, Tracer* tracer)
       index_{params_.effective_interference_range()} {}
 
 void Medium::attach(Radio& radio) {
+  if (radio.id() >= radios_by_id_.size()) {
+    radios_by_id_.resize(static_cast<std::size_t>(radio.id()) + 1, nullptr);
+  }
   radios_by_id_[radio.id()] = &radio;
   index_.insert(radio.id(), radio.mobility(), &radio);
 }
 
 void Medium::detach(Radio& radio) noexcept {
-  radios_by_id_.erase(radio.id());
+  if (radio.id() < radios_by_id_.size()) radios_by_id_[radio.id()] = nullptr;
   index_.remove(radio.id());
   // A radio can vanish mid-flight (teardown, scripted failure).  Its own
   // transmission truncates on the air exactly like an abort — receivers get
@@ -67,9 +70,8 @@ void Medium::collect_candidates(Vec2 origin, double radius, SimTime now,
 
 std::span<const NodeId> Medium::neighbours_of(NodeId of) const {
   neighbour_scratch_.clear();
-  const auto it = radios_by_id_.find(of);
-  if (it == radios_by_id_.end()) return {};
-  Radio* self = it->second;
+  Radio* self = radio_for(of);
+  if (self == nullptr) return {};
   index_.for_each_in_range(self->position(), params_.range_m, scheduler_.now(),
                            [&](NodeId id, void* payload, Vec2, double) {
                              if (static_cast<Radio*>(payload) != self) {

@@ -34,7 +34,6 @@
 #include <memory>
 #include <span>
 #include <utility>
-#include <unordered_map>
 #include <vector>
 
 #include "mobility/spatial_index.hpp"
@@ -157,8 +156,7 @@ protected:
   bool scripted_{false};
 
   [[nodiscard]] Radio* radio_for(NodeId id) const noexcept {
-    const auto it = radios_by_id_.find(id);
-    return it == radios_by_id_.end() ? nullptr : it->second;
+    return id < radios_by_id_.size() ? radios_by_id_[id] : nullptr;
   }
 
 private:
@@ -241,7 +239,7 @@ private:
   Scheduler& scheduler_;
   Rng rng_;
   Tracer* tracer_;
-  std::unordered_map<NodeId, Radio*> radios_by_id_;
+  std::vector<Radio*> radios_by_id_;  // by NodeId; null when detached
   mutable SpatialIndex index_;
   mutable NodeSoa soa_;                           // packed mirror of index_
   mutable std::vector<Candidate> scratch_;        // reused per transmission

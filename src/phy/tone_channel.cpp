@@ -25,23 +25,37 @@ ToneChannel::ToneChannel(Scheduler& scheduler, const PhyParams& params, std::str
       index_{params.range_m} {}
 
 void ToneChannel::attach(NodeId id, MobilityModel& mobility) {
-  const auto [it, inserted] = sources_.emplace(id, Source{&mobility, false, false, {}});
-  if (!inserted) it->second.mobility = &mobility;
-  // unordered_map nodes are pointer-stable, so the payload stays valid.
-  index_.insert(id, mobility, &it->second);
+  Source* s = source(id);
+  if (s == nullptr) {
+    if (id >= slot_of_.size()) slot_of_.resize(static_cast<std::size_t>(id) + 1, kNoSlot);
+    if (free_slots_.empty()) {
+      slot_of_[id] = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      slot_of_[id] = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    s = &slots_[slot_of_[id]];
+  }
+  s->mobility = &mobility;
+  index_.insert(id, mobility, s);
 }
 
 void ToneChannel::detach(NodeId id) noexcept {
+  Source* s = source(id);
+  if (s == nullptr) return;
   index_.remove(id);
-  sources_.erase(id);
-  edge_subs_.erase(id);
+  if (s->edge_cb) --edge_subs_;
+  *s = Source{};
+  free_slots_.push_back(slot_of_[id]);
+  slot_of_[id] = kNoSlot;
   std::erase(on_sources_, id);
 }
 
 void ToneChannel::watch(NodeId listener, ToneWatcher* watcher) {
-  const auto it = sources_.find(listener);
-  assert(it != sources_.end() && "watch on unattached node");
-  it->second.watcher = watcher;
+  Source* s = source(listener);
+  assert(s != nullptr && "watch on unattached node");
+  s->watcher = watcher;
   if (watcher != nullptr) any_watcher_ = true;
 }
 
@@ -49,7 +63,7 @@ void ToneChannel::notify_watchers(NodeId id) {
   // Collect first: a watcher re-plans through quiet_span, whose sweep
   // shares the SoA scratch this one walks.
   const SimTime now = scheduler_.now();
-  const Vec2 pos = sources_.find(id)->second.mobility->position(now);
+  const Vec2 pos = source(id)->mobility->position(now);
   sync_soa(now);
   double reach = params_.range_m + 1.0;
   if (index_.max_speed() > 0.0) reach += watch_margin_m();
@@ -66,7 +80,9 @@ void ToneChannel::notify_watchers(NodeId id) {
 
 void ToneChannel::prune(const Source& s) const {
   const SimTime cutoff = scheduler_.now() - kHistoryKeep;
-  while (!s.history.empty() && s.history.front().off < cutoff) s.history.pop_front();
+  auto& h = s.history;
+  h.erase(h.begin(), std::find_if(h.begin(), h.end(),
+                                  [cutoff](const Interval& iv) { return iv.off >= cutoff; }));
 }
 
 void ToneChannel::sync_soa(SimTime t) const {
@@ -81,15 +97,14 @@ void ToneChannel::sync_soa(SimTime t) const {
 }
 
 std::size_t ToneChannel::history_size(NodeId id) const noexcept {
-  const auto it = sources_.find(id);
-  return it == sources_.end() ? 0 : it->second.history.size();
+  const Source* s = source(id);
+  return s == nullptr ? 0 : s->history.size();
 }
 
 void ToneChannel::set_tone(NodeId id, bool on) {
   RMAC_PROF_SCOPE("tone.set_tone");
-  auto it = sources_.find(id);
-  assert(it != sources_.end() && "set_tone on unattached node");
-  Source& s = it->second;
+  assert(source(id) != nullptr && "set_tone on unattached node");
+  Source& s = *source(id);
   if (s.on == on) return;
   const SimTime now = scheduler_.now();
   s.on = on;
@@ -100,7 +115,7 @@ void ToneChannel::set_tone(NodeId id, bool on) {
     prune(s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
     on_sources_.push_back(id);
-    if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, now);
+    if (edge_subs_ != 0 && !s.suppressed) fan_out_edge(id, s, now);
   } else {
     assert(!s.history.empty());
     on_time_total_ += now - s.history.back().on;
@@ -141,18 +156,17 @@ void ToneChannel::fan_out_edge(NodeId id, const Source& s, SimTime when) {
                         });
   std::sort(scratch_.begin(), scratch_.end());
   for (const auto& [listener, d2] : scratch_) {
-    const auto sub = edge_subs_.find(listener);
-    if (sub == edge_subs_.end()) continue;
+    const EdgeCallback& cb = source(listener)->edge_cb;
+    if (!cb) continue;
     const SimTime at = when + params_.propagation_delay(std::sqrt(d2)) + params_.cca;
     // Copy the callback: the subscription may change before delivery.
-    scheduler_.schedule_at(std::max(at, now), [cb = sub->second, id] { cb(id); });
+    scheduler_.schedule_at(std::max(at, now), [cb, id] { cb(id); });
   }
 }
 
 void ToneChannel::set_remote_tone(NodeId id, bool on, SimTime when) {
-  auto it = sources_.find(id);
-  assert(it != sources_.end() && "set_remote_tone on unattached phantom");
-  Source& s = it->second;
+  assert(source(id) != nullptr && "set_remote_tone on unattached phantom");
+  Source& s = *source(id);
   if (s.on == on) return;
   s.on = on;
   if (on) {
@@ -160,7 +174,7 @@ void ToneChannel::set_remote_tone(NodeId id, bool on, SimTime when) {
     prune(s);
     soa_.set_flag(id, NodeSoa::kFlagActive, true);
     on_sources_.push_back(id);
-    if (!edge_subs_.empty() && !s.suppressed) fan_out_edge(id, s, when);
+    if (edge_subs_ != 0 && !s.suppressed) fan_out_edge(id, s, when);
   } else {
     std::erase(on_sources_, id);
     if (s.history.empty()) return;  // raise predates the phantom's attach
@@ -172,29 +186,29 @@ void ToneChannel::set_remote_tone(NodeId id, bool on, SimTime when) {
 }
 
 void ToneChannel::set_suppressed(NodeId id, bool suppressed) {
-  auto it = sources_.find(id);
-  assert(it != sources_.end() && "set_suppressed on unattached node");
-  const bool changed = it->second.suppressed != suppressed;
-  it->second.suppressed = suppressed;
+  Source* s = source(id);
+  assert(s != nullptr && "set_suppressed on unattached node");
+  const bool changed = s->suppressed != suppressed;
+  s->suppressed = suppressed;
   soa_.set_flag(id, NodeSoa::kFlagSuppressed, suppressed);
   if (changed && any_watcher_) notify_watchers(id);
 }
 
 bool ToneChannel::suppressed(NodeId id) const noexcept {
-  const auto it = sources_.find(id);
-  return it != sources_.end() && it->second.suppressed;
+  const Source* s = source(id);
+  return s != nullptr && s->suppressed;
 }
 
 bool ToneChannel::my_tone_on(NodeId id) const noexcept {
-  const auto it = sources_.find(id);
-  return it != sources_.end() && it->second.on;
+  const Source* s = source(id);
+  return s != nullptr && s->on;
 }
 
 bool ToneChannel::sensed_at(NodeId listener) const {
-  const auto lit = sources_.find(listener);
-  if (lit == sources_.end()) return false;
+  const Source* l = source(listener);
+  if (l == nullptr) return false;
   const SimTime now = scheduler_.now();
-  const Vec2 at = lit->second.mobility->position(now);
+  const Vec2 at = l->mobility->position(now);
   sync_soa(now);
   bool sensed = false;
   // Silent sources (no kFlagActive) are skipped by the packed prefilter
@@ -226,9 +240,9 @@ bool ToneChannel::sensed_at(NodeId listener) const {
 
 ToneChannel::QuietSpan ToneChannel::quiet_span(NodeId listener) const {
   const SimTime now = scheduler_.now();
-  const auto lit = sources_.find(listener);
-  if (lit == sources_.end()) return {now, SimTime::max()};
-  const Vec2 at = lit->second.mobility->position(now);
+  const Source* l = source(listener);
+  if (l == nullptr) return {now, SimTime::max()};
+  const Vec2 at = l->mobility->position(now);
   sync_soa(now);
   // The windows [on + prop, off + prop) during which each audible source is
   // sensed here — the same sweep, filters and arithmetic as sensed_at.
@@ -279,7 +293,7 @@ ToneChannel::QuietSpan ToneChannel::quiet_span(NodeId listener) const {
     if (settled) {
       double gap = watch_margin_m();
       for (const NodeId src : on_sources_) {
-        const Source& s = sources_.find(src)->second;
+        const Source& s = *source(src);
         if (src == listener || s.suppressed) continue;
         gap = std::min(gap, std::abs(std::sqrt(distance_sq(at, s.mobility->position(now))) -
                                      params_.range_m));
@@ -294,10 +308,10 @@ ToneChannel::QuietSpan ToneChannel::quiet_span(NodeId listener) const {
 }
 
 bool ToneChannel::detected_in_window(NodeId listener, SimTime from, SimTime to) const {
-  const auto lit = sources_.find(listener);
-  if (lit == sources_.end()) return false;
+  const Source* l = source(listener);
+  if (l == nullptr) return false;
   const SimTime now = scheduler_.now();
-  const Vec2 at = lit->second.mobility->position(now);
+  const Vec2 at = l->mobility->position(now);
   sync_soa(now);
   bool detected = false;
   soa_.for_each_in_disk<NodeSoa::kFlagActive>(
@@ -326,9 +340,18 @@ bool ToneChannel::detected_in_window(NodeId listener, SimTime from, SimTime to) 
 }
 
 void ToneChannel::subscribe_edges(NodeId listener, EdgeCallback cb) {
-  edge_subs_[listener] = std::move(cb);
+  Source* s = source(listener);
+  assert(s != nullptr && "subscribe_edges on unattached node");
+  edge_subs_ -= static_cast<bool>(s->edge_cb);
+  s->edge_cb = std::move(cb);
+  edge_subs_ += static_cast<bool>(s->edge_cb);
 }
 
-void ToneChannel::unsubscribe_edges(NodeId listener) noexcept { edge_subs_.erase(listener); }
+void ToneChannel::unsubscribe_edges(NodeId listener) noexcept {
+  Source* s = source(listener);
+  if (s == nullptr || !s->edge_cb) return;
+  s->edge_cb = nullptr;
+  --edge_subs_;
+}
 
 }  // namespace rmacsim

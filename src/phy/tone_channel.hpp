@@ -18,7 +18,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mobility/mobility.hpp"
@@ -104,9 +104,9 @@ public:
   // least the CCA time (lambda) within [from, to]?
   [[nodiscard]] bool detected_in_window(NodeId listener, SimTime from, SimTime to) const;
 
-  // Leading-edge subscription: `cb(source)` fires lambda after a foreign
-  // tone's leading edge reaches the subscribed listener (detection latency —
-  // this is what makes MRTS abortion rare, §3.3.2 note 3).
+  // Leading-edge subscription of an attached listener: `cb(source)` fires
+  // lambda after a foreign tone's leading edge reaches it (detection latency
+  // — this is what makes MRTS abortion rare, §3.3.2 note 3).
   using EdgeCallback = std::function<void(NodeId source)>;
   void subscribe_edges(NodeId listener, EdgeCallback cb);
   void unsubscribe_edges(NodeId listener) noexcept;
@@ -131,21 +131,30 @@ private:
     SimTime off;  // SimTime::max() while still on
   };
   struct Source {
-    MobilityModel* mobility;
+    MobilityModel* mobility{nullptr};
     bool on{false};
     bool suppressed{false};  // scripted corruption: tone inaudible while set
-    // mutable: const queries prune expired intervals as they walk sources,
-    // so an idle source's history cannot linger past kHistoryKeep.
-    mutable std::deque<Interval> history;
+    // mutable: const queries prune expired intervals (from the front) as
+    // they walk sources, so an idle source's history cannot linger past
+    // kHistoryKeep.
+    mutable std::vector<Interval> history;
     ToneWatcher* watcher{nullptr};
+    EdgeCallback edge_cb;  // leading-edge subscription; empty when none
   };
 
+  // The attached source `id`, or null.
+  [[nodiscard]] const Source* source(NodeId id) const noexcept {
+    return id < slot_of_.size() && slot_of_[id] != kNoSlot ? &slots_[slot_of_[id]] : nullptr;
+  }
+  [[nodiscard]] Source* source(NodeId id) noexcept {
+    return const_cast<Source*>(std::as_const(*this).source(id));
+  }
   void prune(const Source& s) const;
   // Bring the SoA mirror up to date with the index and re-seed the per-lane
   // tone flags after a rebuild.  kFlagActive means "this source could be
   // audible": tone on now, or history not yet pruned empty.  The bit decays
   // lazily — queries clear it when they find a pruned-empty history — so the
-  // sensing sweeps prefilter silent sources without walking their deques.
+  // sensing sweeps prefilter silent sources without walking their histories.
   void sync_soa(SimTime t) const;
   [[nodiscard]] static std::uint8_t source_flags(const Source& s) noexcept {
     std::uint8_t f = 0;
@@ -169,8 +178,14 @@ private:
   // reaches past the time two nodes need to close it.
   [[nodiscard]] double watch_margin_m() const noexcept { return params_.range_m; }
 
-  std::unordered_map<NodeId, Source> sources_;
-  std::unordered_map<NodeId, EdgeCallback> edge_subs_;
+  // Dense slot table: slot_of_ maps a NodeId to its Source in slots_.  A
+  // deque never moves an element as it grows, so the Source pointers the
+  // index holds as payloads stay valid; detached slots are reused.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  std::vector<std::uint32_t> slot_of_;
+  std::deque<Source> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t edge_subs_{0};  // sources with an edge subscription
   EdgeHook edge_hook_;
   mutable SpatialIndex index_;
   mutable NodeSoa soa_;                             // packed mirror of index_

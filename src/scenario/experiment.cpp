@@ -602,8 +602,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       m.push_back({"journeys_dropped", std::to_string(journeys_dropped), true});
       m.push_back({"timeseries_samples", std::to_string(r.obs.samples), true});
       m.push_back({"sample_period_us", cat(collectors.front()->sample_period().to_us()), true});
-      const auto index = [&m](const char* key, const std::string& path) {
-        if (!path.empty()) m.push_back({key, path, false});
+      const auto index = [&m, &r](const char* key, const std::string& path) {
+        if (!path.empty()) {
+          m.push_back({key, manifest_relative_path(path, r.obs.manifest_json), false});
+        }
       };
       index("trace_json", r.obs.trace_json);
       index("journeys_jsonl", r.obs.journeys_jsonl);

@@ -42,23 +42,98 @@ const char* to_string(ShardPartition p) noexcept {
 }
 
 bool Network::placement_connected(const std::vector<Vec2>& pts, double range_m) {
-  if (pts.empty()) return true;
+  const std::size_t n = pts.size();
+  if (n <= 1) return true;
   const double r2 = range_m * range_m;
-  std::vector<bool> visited(pts.size(), false);
-  std::vector<std::size_t> stack{0};
-  visited[0] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    const std::size_t u = stack.back();
-    stack.pop_back();
-    for (std::size_t v = 0; v < pts.size(); ++v) {
-      if (visited[v] || distance_sq(pts[u], pts[v]) > r2) continue;
-      visited[v] = true;
-      ++reached;
-      stack.push_back(v);
+  // NaN or infinite r2: no pair fails `d2 <= r2` as the disk-graph predicate
+  // is written below (NaN compares false), so every pair is adjacent.
+  if (!(r2 < std::numeric_limits<double>::infinity())) return true;
+
+  Vec2 lo = pts.front();
+  Vec2 hi = pts.front();
+  for (const Vec2 p : pts) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      throw std::invalid_argument("placement_connected: non-finite coordinate");
+    }
+    lo = Vec2{std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = Vec2{std::max(hi.x, p.x), std::max(hi.y, p.y)};
+  }
+
+  const double w = hi.x - lo.x;
+  const double h = hi.y - lo.y;
+  if (!std::isfinite(w) || !std::isfinite(h)) {
+    throw std::invalid_argument("placement_connected: placement extent overflows");
+  }
+
+  // Cells a hair wider than the range: two points whose cells are two or
+  // more apart on an axis differ by more than range_m there, so d2 > r2 and
+  // only the 3x3 neighbourhood can hold edges.  The 1e-9 margin outweighs
+  // the rounding of the cell arithmetic (< 1e-9 of a cell at up to 2^20
+  // cells), and the 1e-150 floor keeps squared distances that decide an
+  // edge out of the subnormal range.  Wider cells only add candidate pairs,
+  // so the grid is capped at about 2n cells.
+  const double base = std::max(std::abs(range_m), 1e-150) * (1.0 + 1e-9);
+  const double max_cells = std::min(2.0 * static_cast<double>(n) + 2.0, 1048576.0);
+  double side = base;
+  while ((std::floor(w / side) + 1.0) * (std::floor(h / side) + 1.0) > max_cells) side *= 1.5;
+  const auto cols = static_cast<std::size_t>(w / side) + 1;
+  const auto rows = static_cast<std::size_t>(h / side) + 1;
+
+  // CSR buckets holding the points themselves (a counting sort that keeps
+  // input order within a cell); union-find runs over bucket lanes, which
+  // label the same components as point indices would.  `parent` holds each
+  // point's cell until the sort is done.
+  std::vector<std::uint32_t> parent(n);
+  std::vector<std::uint32_t> start(cols * rows + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cx = std::min(static_cast<std::size_t>((pts[i].x - lo.x) / side), cols - 1);
+    const std::size_t cy = std::min(static_cast<std::size_t>((pts[i].y - lo.y) / side), rows - 1);
+    parent[i] = static_cast<std::uint32_t>(cy * cols + cx);
+    ++start[parent[i]];
+  }
+  for (std::size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<Vec2> lane(n);
+  for (std::size_t i = n; i-- > 0;) lane[--start[parent[i]]] = pts[i];
+  std::iota(parent.begin(), parent.end(), 0u);
+
+  const auto find = [&parent](std::uint32_t a) {
+    while (parent[a] != a) a = parent[a] = parent[parent[a]];  // path halving
+    return a;
+  };
+  std::size_t components = n;
+  // Link lane `a` with every lane of [b0, b1) in range; true once one
+  // component is left.
+  const auto link = [&](std::uint32_t a, std::uint32_t b0, std::uint32_t b1) {
+    for (std::uint32_t b = b0; b < b1; ++b) {
+      if (!(distance_sq(lane[a], lane[b]) <= r2)) continue;
+      std::uint32_t ra = find(a);
+      std::uint32_t rb = find(b);
+      if (ra == rb) continue;
+      if (ra > rb) std::swap(ra, rb);
+      parent[rb] = ra;
+      if (--components == 1) return true;
+    }
+    return false;
+  };
+
+  // Each cell against itself and its forward half-neighbourhood — east,
+  // south-west, south, south-east — so every neighbouring pair is tested
+  // once.
+  for (std::size_t cy = 0; cy < rows; ++cy) {
+    for (std::size_t cx = 0; cx < cols; ++cx) {
+      const std::size_t cell = cy * cols + cx;
+      for (std::uint32_t a = start[cell]; a < start[cell + 1]; ++a) {
+        if (link(a, a + 1, start[cell + 1])) return true;
+        if (cx + 1 < cols && link(a, start[cell + 1], start[cell + 2])) return true;
+        if (cy + 1 == rows) continue;
+        const std::size_t below = cell + cols;
+        const std::size_t first = cx > 0 ? below - 1 : below;
+        const std::size_t last = cx + 1 < cols ? below + 1 : below;
+        if (link(a, start[first], start[last + 1])) return true;
+      }
     }
   }
-  return reached == pts.size();
+  return components == 1;
 }
 
 namespace {

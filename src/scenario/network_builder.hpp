@@ -184,7 +184,10 @@ public:
   // BFS connectivity over the disk graph at the current time.
   [[nodiscard]] bool connected_now() const;
 
-  // Static helper: is the placement a connected disk graph?
+  // Static helper: is the placement a connected disk graph (an edge where
+  // distance_sq <= range_m^2)?  Linear in the number of points for a
+  // bounded density (grid union-find).  Throws std::invalid_argument on a
+  // non-finite coordinate.
   [[nodiscard]] static bool placement_connected(const std::vector<Vec2>& pts, double range_m);
 
   // Per-window worker setup seam (profiler attachment).  Install before the

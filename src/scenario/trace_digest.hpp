@@ -8,6 +8,8 @@
 // sharded — can still be compared for physical equality.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "phy/frame.hpp"
@@ -60,12 +62,24 @@ public:
 
 private:
   static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+  // kPrimePow[k] = kFnvPrime^k (mod 2^64).
+  static constexpr std::array<std::uint64_t, 9> kPrimePow = [] {
+    std::array<std::uint64_t, 9> p{1};
+    for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+    return p;
+  }();
 
+  // FNV-1a over the 8 little-endian bytes of v.  A zero byte's step is only
+  // h *= P, so the run of high zero bytes — most fields fit in one or two
+  // bytes — folds into one multiply by P^k; the value is bit-identical.
   static void mix(std::uint64_t& h, std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
+    std::size_t bytes = 0;
+    for (; v != 0; v >>= 8, ++bytes) {
+      h ^= v & 0xffu;
+      h *= kFnvPrime;
     }
+    h *= kPrimePow[8 - bytes];
   }
   std::uint64_t h_{kFnvOffset};
   std::uint64_t xsum_{0};

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numbers>
+#include <stdexcept>
+#include <vector>
+
 #include "scenario/parallel_runner.hpp"
 
 namespace rmacsim {
@@ -163,6 +168,125 @@ TEST(NetworkBuilder, ConnectivityChecker) {
   EXPECT_FALSE(Network::placement_connected({{0, 0}, {50, 0}, {300, 0}}, 75.0));
   EXPECT_TRUE(Network::placement_connected({}, 75.0));
   EXPECT_TRUE(Network::placement_connected({{5, 5}}, 75.0));
+}
+
+// Brute-force reference for Network::placement_connected: O(n^2) BFS over
+// the disk graph with the same `distance_sq <= r2` edge predicate; each
+// dequeued point scans every point not reached yet.
+bool reference_connected(const std::vector<Vec2>& pts, double range_m) {
+  if (pts.empty()) return true;
+  const double r2 = range_m * range_m;
+  std::vector<Vec2> queue{pts.front()};
+  std::vector<Vec2> unreached(pts.begin() + 1, pts.end());
+  for (std::size_t head = 0; head < queue.size() && !unreached.empty(); ++head) {
+    const Vec2 u = queue[head];
+    for (std::size_t k = 0; k < unreached.size();) {
+      if (distance_sq(u, unreached[k]) <= r2) {
+        queue.push_back(unreached[k]);
+        unreached[k] = unreached.back();
+        unreached.pop_back();
+      } else {
+        ++k;
+      }
+    }
+  }
+  return unreached.empty();
+}
+
+TEST(NetworkBuilder, ConnectivityMatchesBruteForceOnSeededPlacements) {
+  // Random geometric graphs are connected w.h.p. once n*pi*r^2/A exceeds
+  // about ln n; `density` straddles that threshold so both verdicts occur.
+  // A quarter of the draws snap every coordinate to a multiple of r/2:
+  // pairs at exactly the range, points on cell boundaries, coincident points.
+  Rng rng{20261018};
+  unsigned connected = 0;
+  unsigned disconnected = 0;
+  for (unsigned draw = 0; draw < 2000; ++draw) {
+    const auto n = static_cast<std::size_t>(
+        draw % 500 == 0 ? 2000 : std::floor(2001.0 * std::pow(rng.uniform(), 4.0)));
+    const double range = draw % 7 == 0 ? rng.uniform(0.5, 300.0) : 75.0;
+    const double density = rng.uniform(0.5, 2.5);
+    const double nn = static_cast<double>(std::max<std::size_t>(n, 3));
+    const double area = nn * std::numbers::pi * range * range / (density * std::log(nn));
+    const double aspect = rng.uniform(0.25, 4.0);
+    const double width = std::sqrt(area * aspect);
+    const double height = area / width;
+    const bool snap = draw % 4 == 0;
+    std::vector<Vec2> pts(n);
+    for (Vec2& p : pts) {
+      p = Vec2{rng.uniform(0.0, width), rng.uniform(0.0, height)};
+      if (snap) {
+        const double q = range / 2.0;
+        p = Vec2{std::round(p.x / q) * q, std::round(p.y / q) * q};
+      }
+    }
+    const bool want = reference_connected(pts, range);
+    ASSERT_EQ(Network::placement_connected(pts, range), want)
+        << "draw " << draw << ": n=" << n << " range=" << range << " density=" << density;
+    (want ? connected : disconnected) += 1;
+  }
+  // Both sides of the threshold were exercised.
+  EXPECT_GT(connected, 400u);
+  EXPECT_GT(disconnected, 400u);
+}
+
+TEST(NetworkBuilder, ConnectivityHandBuiltEdgeCases) {
+  const double r = 75.0;
+  const double beyond = std::nextafter(r, 1e9);
+  const auto check = [r](const std::vector<Vec2>& pts, bool want) {
+    EXPECT_EQ(reference_connected(pts, r), want);
+    EXPECT_EQ(Network::placement_connected(pts, r), want);
+  };
+  // Pairs at exactly the range are edges (axis-aligned and 45-60-75
+  // diagonal); one ulp further is not.
+  check({{0, 0}, {r, 0}}, true);
+  check({{0, 0}, {0, r}}, true);
+  check({{10, 20}, {55, 80}}, true);
+  check({{0, 0}, {beyond, 0}}, false);
+  check({{0, 0}, {0, beyond}}, false);
+  // Points on cell boundaries: a lattice at exactly the range, and a row
+  // at exactly twice the range that must stay disconnected.
+  {
+    std::vector<Vec2> lattice;
+    for (int i = 0; i < 6; ++i) {
+      for (int j = 0; j < 4; ++j) lattice.push_back({i * r, j * r});
+    }
+    check(lattice, true);
+    check({{0, 0}, {2 * r, 0}, {4 * r, 0}}, false);
+    check({{0, 0}, {r, 0}, {2 * r, 0}, {3 * r, r}}, false);
+  }
+  // Coincident points.
+  check({{3, 3}, {3, 3}, {3, 3}}, true);
+  check({{3, 3}, {3, 3}, {300, 3}}, false);
+  // All points on one vertical line: a zero-width bounding box.
+  {
+    std::vector<Vec2> line;
+    for (int k = 0; k < 20; ++k) line.push_back({42.0, k * 70.0});
+    check(line, true);
+    line.push_back({42.0, 19 * 70.0 + r + 1.0});
+    check(line, false);
+  }
+  // A serpentine chain whose final edge, at exactly the range and in the
+  // last cell row the sweep visits, is its only link to the last point.
+  {
+    std::vector<Vec2> chain;
+    for (int row = 0; row < 5; ++row) {
+      for (int k = 0; k < 8; ++k) {
+        const double x = (row % 2 == 0 ? k : 7 - k) * 60.0;
+        chain.push_back({x, row * 60.0});
+      }
+    }
+    const Vec2 tail = chain.back();
+    chain.push_back({tail.x + 45.0, tail.y + 60.0});  // 45-60-75 from the tail
+    check(chain, true);
+    chain.back() = Vec2{tail.x + 45.0, std::nextafter(tail.y + 60.0, 1e9)};
+    check(chain, false);
+  }
+  // Degenerate inputs the reference also accepts.
+  check({{1, 1}, {1, 1}}, true);
+  EXPECT_TRUE(Network::placement_connected({{0, 0}, {1e6, 0}}, std::nan("")));
+  EXPECT_THROW((void)Network::placement_connected({{0, 0}, {std::nan(""), 0}}, r),
+               std::invalid_argument);
 }
 
 TEST(NetworkBuilder, EnsureConnectedPlacementIsConnected) {

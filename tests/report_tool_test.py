@@ -5,7 +5,8 @@
 two-shard run (--lookahead-us 0), and an in-process campaign.  Every other
 case runs `check` on one manifest and asserts its exit status: 0 on the
 untouched sets, 1 on a tampered copy of one, 2 on an input that is no
-rmacsim artifact.
+rmacsim artifact.  `MovedArtifacts` copies the run and campaign directories
+elsewhere and checks both copies from an unrelated cwd.
 
     report_tool_test.py CASE --tool T --run-experiment B --run-campaign C --work DIR
 """
@@ -48,7 +49,7 @@ def bump_aggregate_counter(doc: dict) -> None:
 
 def drop_first_cell(root: Path) -> None:
     manifest = json.loads((root / "camp/c_manifest.json").read_text())
-    (root / manifest["cells"][0]["record"]).unlink()
+    (root / "camp" / manifest["cells"][0]["record"]).unlink()
 
 
 def write_unknown(root: Path) -> None:
@@ -95,12 +96,30 @@ def make_artifacts(args) -> int:
     return 0
 
 
+def check_moved(args) -> int:
+    # Manifests index paths relative to their own directory, so a moved
+    # artifact directory resolves wherever it lands, checked from any cwd.
+    moved = Path(args.work) / "moved"
+    shutil.rmtree(moved, ignore_errors=True)
+    for name in ("run", "camp"):
+        shutil.copytree(Path(args.work) / name, moved / "elsewhere" / name)
+    cwd = moved / "unrelated"
+    cwd.mkdir()
+    for manifest in ("run/run_manifest.json", "camp/c_manifest.json"):
+        done = sh([sys.executable, args.tool, "check", Path("../elsewhere") / manifest], cwd)
+        print(done.stdout + done.stderr)
+        if done.returncode != 0:
+            print(f"MovedArtifacts: `check {manifest}` exited {done.returncode}, want 0")
+            return 1
+    return 0
+
+
 def run_case(args) -> int:
     copy_of, target, change, manifest, want = CASES[args.case]
     root = Path(args.work)
     if copy_of is not None:
-        # Manifests index paths relative to the run directory, so a copy of
-        # the set under a fresh root resolves to the copy.
+        # Manifests index paths relative to their own directory, so a copy
+        # of the set under a fresh root resolves to the copy.
         root = root / f"tamper_{args.case}"
         shutil.rmtree(root, ignore_errors=True)
         shutil.copytree(Path(args.work) / copy_of, root / copy_of)
@@ -119,13 +138,15 @@ def run_case(args) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("case", choices=["artifacts", *CASES])
+    parser.add_argument("case", choices=["artifacts", "MovedArtifacts", *CASES])
     parser.add_argument("--tool", required=True)
     parser.add_argument("--run-experiment", required=True)
     parser.add_argument("--run-campaign", required=True)
     parser.add_argument("--work", required=True)
     args = parser.parse_args()
-    return make_artifacts(args) if args.case == "artifacts" else run_case(args)
+    if args.case == "artifacts":
+        return make_artifacts(args)
+    return check_moved(args) if args.case == "MovedArtifacts" else run_case(args)
 
 
 if __name__ == "__main__":

@@ -326,7 +326,11 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   const JsonValue manifest = JsonValue::parse(slurp(r.obs.manifest_json));
   EXPECT_EQ(manifest.find("imbalance_busy"), nullptr);
   EXPECT_EQ(manifest.find("windows_recorded"), nullptr);
-  EXPECT_EQ(manifest.at("metrics_json").as_string(), r.metrics.json_path);
+  // Indexed relative to the manifest's own directory.
+  EXPECT_TRUE(std::filesystem::equivalent(
+      std::filesystem::path(r.obs.manifest_json).parent_path() /
+          manifest.at("metrics_json").as_string(),
+      r.metrics.json_path));
 }
 
 TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
@@ -369,7 +373,8 @@ TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
     std::set<std::string> listed{std::filesystem::path(r.obs.manifest_json).filename()};
     for (const char* key : {"trace_json", "journeys_jsonl", "metrics_text", "metrics_json"}) {
       ASSERT_NE(manifest.find(key), nullptr) << key;
-      const std::filesystem::path path = manifest.at(key).as_string();
+      const std::filesystem::path path =
+          std::filesystem::path(r.obs.manifest_json).parent_path() / manifest.at(key).as_string();
       EXPECT_TRUE(std::filesystem::is_regular_file(path)) << path;
       listed.insert(path.filename());
     }

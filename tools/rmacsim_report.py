@@ -31,9 +31,8 @@ by figure.  `plot` draws Figs. 7-13 from a sweep CSV, the channel timeline
 and shard load from a trace, and the sharded scaling curve from a bench
 report; without matplotlib it prints the same data as text.
 
-A manifest's paths are as the simulator wrote them (relative to the
-directory it ran in); a path that does not resolve is also looked for
-beside the manifest.  Exit status: 0 ok, 1 a check failed, 2 usage error or
+A manifest's paths are relative to the manifest's own directory, so a
+copied or moved artifact directory checks from any cwd.  Exit status: 0 ok, 1 a check failed, 2 usage error or
 unidentifiable input.  Standard library only; `plot` imports matplotlib
 lazily.
 """
@@ -130,11 +129,9 @@ def load(path: str, *kinds: str) -> Artifact:
 
 
 def indexed(manifest_path: str, path: str) -> str:
-    """A path a manifest indexes: as written, else beside the manifest."""
-    if os.path.exists(path):
-        return path
-    beside = os.path.join(os.path.dirname(manifest_path), os.path.basename(path))
-    return beside if os.path.exists(beside) else path
+    """A path a manifest indexes, which is relative to the manifest's own
+    directory (an absolute one stays as written)."""
+    return os.path.join(os.path.dirname(manifest_path), path)
 
 
 RUN_FILES = (("trace_json", "trace"), ("journeys_jsonl", "journeys"),
