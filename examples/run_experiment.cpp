@@ -5,20 +5,20 @@
 //       --rate 20 --packets 500 --seed 3 --nodes 75 [--ber 1e-5]
 //       [--capture 2.0] [--no-rbt] [--queue-limit 64] [--audit] [--digest]
 //       [--obs] [--obs-dir DIR] [--metrics] [--metrics-dir DIR] [--profile]
-//       [--shards n] [--shard-threads n] [--lookahead-us us]
+//       [--shards n] [--shard-threads n]
 //       [--shard-partition stripes|grid|rcb] [--shard-grid RxC] [--shard-pin]
 //       [--progress sec]
 //
 // --shards > 1 runs the spatially sharded parallel engine (docs/parallel.md)
-// with one worker thread per shard unless --shard-threads overrides it;
-// --lookahead-us sets the window floor (0 = strict mode, window = tau).
-// --shard-partition picks the spatial partitioner; --shard-grid fixes the
-// grid shape (implies --shard-partition grid and --shards R*C; an explicit
-// --shards that disagrees is an error); --shard-pin pins worker threads to
-// CPUs (benchmarks on otherwise-idle hosts).  --progress emits one JSON
-// heartbeat line to stderr every `sec` seconds of wall time.  Sharded runs
-// record window/barrier telemetry whenever --obs*, --metrics* or --progress
-// reads it.
+// with one worker thread per shard unless --shard-threads overrides it.
+// Its windows are exactly tau wide, so a sharded run reproduces the
+// one-shard physics.  --shard-partition picks the spatial partitioner;
+// --shard-grid fixes the grid shape (implies --shard-partition grid and
+// --shards R*C; an explicit --shards that disagrees is an error);
+// --shard-pin pins worker threads to CPUs (benchmarks on otherwise-idle
+// hosts).  --progress emits one JSON heartbeat line to stderr every `sec`
+// seconds of wall time.  Sharded runs record window/barrier telemetry
+// whenever --obs*, --metrics* or --progress reads it.
 //
 // --obs-dir attaches the flight recorder and writes the Perfetto trace (packet
 // slices plus channel and MAC-state counter tracks), journey JSONL, and run
@@ -44,7 +44,6 @@
 // stdout — see docs/campaign.md.  --worker-heartbeat sets the frame cadence.
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -65,7 +64,7 @@ namespace {
                "          [--ber p] [--capture ratio] [--no-rbt] [--queue-limit n]\n"
                "          [--audit] [--digest] [--obs] [--obs-dir DIR]\n"
                "          [--metrics] [--metrics-dir DIR] [--profile]\n"
-               "          [--shards n] [--shard-threads n] [--lookahead-us us]\n"
+               "          [--shards n] [--shard-threads n]\n"
                "          [--shard-partition stripes|grid|rcb] [--shard-grid RxC]\n"
                "          [--shard-pin] [--progress sec]\n"
                "          [--payload bytes] [--area WxH]\n"
@@ -180,9 +179,6 @@ int main(int argc, char** argv) {
       shards_explicit = true;
     } else if (arg == "--shard-threads") {
       c.shard_threads = cli::number<unsigned>(arg, next());
-    } else if (arg == "--lookahead-us") {
-      c.shard_lookahead_floor = SimTime::us(cli::number<std::int64_t>(
-          arg, next(), 0, std::numeric_limits<std::int64_t>::max() / 1000));
     } else if (arg == "--shard-partition") {
       c.shard_partition = parse_partition(next());
     } else if (arg == "--shard-grid") {
@@ -194,6 +190,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--progress") {
       c.progress.interval_s = cli::number<double>(arg, next());
     } else {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       usage(argv[0]);
     }
   }
@@ -278,18 +275,22 @@ int main(int argc, char** argv) {
   if (c.audit) {
     std::printf("%-28s %llu violation(s)\n", "audit",
                 static_cast<unsigned long long>(r.audit.total));
+    for (const auto& [invariant, n] : r.audit.by_invariant) {
+      std::printf("%-28s   %-16s %llu\n", "", invariant.c_str(),
+                  static_cast<unsigned long long>(n));
+    }
   }
   if (c.trace_digest) std::printf("%-28s %016llx\n", "trace digest",
                                   static_cast<unsigned long long>(r.trace_digest));
   if (r.shard.shards > 0) {
-    std::printf("%-28s %u shards x %u threads, tau %.1f us, window %.1f us\n",
+    std::printf("%-28s %u shards x %u threads, tau %.3f us, window %.3f us\n",
                 "sharded engine", r.shard.shards, r.shard.threads,
                 r.shard.tau.to_seconds() * 1e6, r.shard.window.to_seconds() * 1e6);
-    std::printf("%-28s %llu windows, %llu messages, %llu mirrors, %llu clamped\n", "",
-                static_cast<unsigned long long>(r.shard.windows),
+    std::printf("%-28s %llu windows, %llu messages, %llu mirrors, %llu safety violations\n",
+                "", static_cast<unsigned long long>(r.shard.windows),
                 static_cast<unsigned long long>(r.shard.messages),
                 static_cast<unsigned long long>(r.shard.remote_mirrors),
-                static_cast<unsigned long long>(r.shard.clamped));
+                static_cast<unsigned long long>(r.shard.safety_violations));
     if (r.shard.grid_rows > 0) {
       std::printf("%-28s %s %ux%u, nodes/shard [", "partition",
                   to_string(r.shard.partition), r.shard.grid_rows, r.shard.grid_cols);

@@ -127,8 +127,8 @@ void SimAuditor::on_record(const TraceRecord& rec) {
     case TraceEvent::kTxStart: on_tx_start(rec); break;
     case TraceEvent::kTxEnd: on_tx_end(rec); break;
     case TraceEvent::kFrameRx: on_frame_rx(rec); break;
-    case TraceEvent::kToneOn: on_tone(rec, true); break;
-    case TraceEvent::kToneOff: on_tone(rec, false); break;
+    case TraceEvent::kToneOn: note_tone(rec.node, rec.aux, true, rec.at, rec.flag); break;
+    case TraceEvent::kToneOff: note_tone(rec.node, rec.aux, false, rec.at, rec.flag); break;
     case TraceEvent::kGeneric:
     case TraceEvent::kMacState:  // MAC/app categories: not subscribed
     case TraceEvent::kDeliver: break;
@@ -486,19 +486,19 @@ void SimAuditor::check_rmac_delivery(NodeId r, const TraceRecord& rec) {
 // ---------------------------------------------------------------------------
 // Tones
 
-void SimAuditor::on_tone(const TraceRecord& rec, bool on) {
-  const NodeId n = rec.node;
-  if (rec.aux == kToneKindRbt) {
+void SimAuditor::note_tone(NodeId n, std::uint32_t tone_kind, bool on, SimTime at,
+                           bool suppressed) {
+  if (tone_kind == kToneKindRbt) {
     std::deque<ToneInterval>& hist = rbt_hist_;
     ToneState& st = rbt_state_[n];
     if (on) {
-      hist.push_back(ToneInterval{n, rec.at, SimTime::max(), rec.flag});
+      hist.push_back(ToneInterval{n, at, SimTime::max(), suppressed});
       st.on = true;
-      st.since = rec.at;
+      st.since = at;
     } else {
       for (auto it = hist.rbegin(); it != hist.rend(); ++it) {
         if (it->node == n && it->off == SimTime::max()) {
-          it->off = rec.at;
+          it->off = at;
           break;
         }
       }
@@ -506,21 +506,21 @@ void SimAuditor::on_tone(const TraceRecord& rec, bool on) {
     }
     return;
   }
-  if (rec.aux != kToneKindAbt) return;
+  if (tone_kind != kToneKindAbt) return;
   if (on) {
-    abt_hist_.push_back(ToneInterval{n, rec.at, SimTime::max(), rec.flag});
+    abt_hist_.push_back(ToneInterval{n, at, SimTime::max(), suppressed});
     if (config_.mac == AuditedMac::kRmac && is_audited(n)) {
       auto& q = abt_expect_[n];
       // Drop expectations whose window has fully passed (the pulse they
       // anticipated was pre-empted by a newer reception).
-      while (!q.empty() && rec.at > q.front().on_at + q.front().labt + kSlack) q.pop_front();
+      while (!q.empty() && at > q.front().on_at + q.front().labt + kSlack) q.pop_front();
       if (!q.empty()) {
         const AbtExpect e = q.front();
         q.pop_front();
-        const SimTime delta = rec.at > e.on_at ? rec.at - e.on_at : e.on_at - rec.at;
+        const SimTime delta = at > e.on_at ? at - e.on_at : e.on_at - at;
         if (delta > kSlack) {
-          record(AuditInvariant::kAbtSlot, rec.at, n,
-                 cat("ABT raised at ", rec.at.to_us(), "us, expected slot start ",
+          record(AuditInvariant::kAbtSlot, at, n,
+                 cat("ABT raised at ", at.to_us(), "us, expected slot start ",
                      e.on_at.to_us(), "us"));
         }
       }
@@ -528,7 +528,7 @@ void SimAuditor::on_tone(const TraceRecord& rec, bool on) {
   } else {
     for (auto it = abt_hist_.rbegin(); it != abt_hist_.rend(); ++it) {
       if (it->node == n && it->off == SimTime::max()) {
-        it->off = rec.at;
+        it->off = at;
         break;
       }
     }

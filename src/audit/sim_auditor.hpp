@@ -119,6 +119,14 @@ public:
   // violation, for test failure messages.
   [[nodiscard]] std::string summary() const;
 
+  // A tone edge (kToneKindRbt / kToneKindAbt) the audited nodes can hear but
+  // whose source traces elsewhere — a remote source in the sharded engine.
+  // Takes the place of that source's kToneOn / kToneOff record; `at` is the
+  // emission time and may precede records already seen, as long as the edge
+  // could not yet have been audible at any audited node.
+  void note_tone(NodeId source, std::uint32_t tone_kind, bool on, SimTime at,
+                 bool suppressed = false);
+
 private:
   struct ToneInterval {
     NodeId node;
@@ -168,7 +176,6 @@ private:
   void on_tx_start(const TraceRecord& rec);
   void on_tx_end(const TraceRecord& rec);
   void on_frame_rx(const TraceRecord& rec);
-  void on_tone(const TraceRecord& rec, bool on);
 
   void check_mrts_rebuild(NodeId s, const Frame& mrts, SimTime at);
   void check_rmac_delivery(NodeId r, const TraceRecord& rec);

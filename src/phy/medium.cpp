@@ -258,7 +258,6 @@ bool Medium::handle_live(TxHandle h) const noexcept {
 Medium::TxHandle Medium::begin_remote_transmission(FramePtr frame, Vec2 origin,
                                                    SimTime start) {
   const SimTime airtime = params_.frame_airtime(frame->wire_bytes());
-  const SimTime now = scheduler_.now();
   const double ir = params_.effective_interference_range();
   const double r2 = params_.range_m * params_.range_m;
   const double bits = static_cast<double>(frame->wire_bytes()) * 8.0;
@@ -283,31 +282,18 @@ Medium::TxHandle Medium::begin_remote_transmission(FramePtr frame, Vec2 origin,
   for (const Candidate& c : scratch_) {
     const double dist = std::sqrt(c.dist_sq);
     const SimTime prop = params_.propagation_delay(dist);
-    if (start + prop + airtime <= now) continue;  // wholly in the past
     const std::uint64_t sig = next_sig_++;
-    // A leading edge already behind now() means the receiver missed part of
-    // the signal: it still interferes for the remainder but can't decode.
-    const bool clamped = start + prop < now;
-    if (clamped) ++remote_clamped_;
-    const bool deliver_ok = stage_delivery(f, c.id, c.dist_sq <= r2 && !clamped, bits, start);
+    const bool deliver_ok = stage_delivery(f, c.id, c.dist_sq <= r2, bits, start);
     t.receptions.push_back(Reception{c.rx, sig, dist, prop, c.id, deliver_ok});
-  }
-  if (t.receptions.empty()) {
-    t.finished = true;
-    maybe_recycle(h);
-    return 0;
   }
 
   group_receptions(t);
   // No done event: the mirror is logically finished at creation and recycles
-  // once the last scheduled edge fires.  Begin edges clamp to now(); trailing
-  // edges land at the true signal end, which the skip test above guarantees
-  // is still in the future.
+  // once the last scheduled edge fires.  Edges land at their true times.
   {
     Scheduler::BulkInsert bulk{scheduler_};
     for (std::uint32_t g = 0; g < t.groups.size(); ++g) {
-      bulk.at(std::max(start + t.groups[g].prop, now),
-              [this, h, g] { on_group_begin(h, g); });
+      bulk.at(start + t.groups[g].prop, [this, h, g] { on_group_begin(h, g); });
     }
     for (std::uint32_t g = 0; g < t.groups.size(); ++g) {
       t.groups[g].end_event = bulk.at(start + t.groups[g].prop + airtime,
@@ -324,12 +310,11 @@ void Medium::abort_remote_transmission(TxHandle h, SimTime at) {
   Transmission& t = slot_of(h);
   if (t.aborted) return;
   t.aborted = true;
-  const SimTime now = scheduler_.now();
   for (std::uint32_t g = 0; g < t.groups.size(); ++g) {
     DeliveryGroup& grp = t.groups[g];
     if (scheduler_.cancel(grp.end_event)) {
-      grp.end_event = scheduler_.schedule_at(std::max(at + grp.prop, now),
-                                             [this, h, g] { on_group_end(h, g); });
+      grp.end_event =
+          scheduler_.schedule_at(at + grp.prop, [this, h, g] { on_group_end(h, g); });
     }
   }
   maybe_recycle(h);

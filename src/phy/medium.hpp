@@ -95,13 +95,13 @@ public:
   // another shard: leading/trailing edges and decode verdicts exactly as if
   // a local radio at `origin` had transmitted at `start`, but with no
   // transmitter-side callbacks (no done event, no tx-start/tx-end trace).
-  // `start` may lie in the past (conservative-window clamping): a reception
-  // whose leading edge would land before now() begins late and is marked
-  // corrupt (partial signal), counted in remote_clamped(); a reception
-  // wholly in the past is skipped.  Candidate positions are evaluated at
-  // `start` — the emission instant — so mobile receivers see exactly the
-  // geometry the serial engine would have computed.  Returns 0 when no local
-  // radio is in interference range.
+  // `start` may lie up to one window in the past, but every leading edge
+  // (start + prop) lands at or after now(): the engine's window is never
+  // wider than the closest cross-shard pair's propagation delay
+  // (docs/parallel.md).  Candidate positions are evaluated at `start` — the
+  // emission instant — so mobile receivers see exactly the geometry the
+  // serial engine would have computed.  Returns 0 when no local radio is in
+  // interference range.
   TxHandle begin_remote_transmission(FramePtr frame, Vec2 origin, SimTime start);
   // Truncate a remote mirror's receptions at `at` (+prop per group), like a
   // local abort.  Tolerates stale handles: a mirror whose receptions all
@@ -109,7 +109,6 @@ public:
   // been recycled, and truncating it is a no-op.
   void abort_remote_transmission(TxHandle h, SimTime at);
   [[nodiscard]] std::uint64_t remote_mirrored() const noexcept { return remote_mirrored_; }
-  [[nodiscard]] std::uint64_t remote_clamped() const noexcept { return remote_clamped_; }
 
   // Counters for diagnostics.
   [[nodiscard]] std::uint64_t transmissions_started() const noexcept { return tx_started_; }
@@ -259,7 +258,6 @@ private:
   Counters counters_{};
   TxObserver* tx_observer_{nullptr};
   std::uint64_t remote_mirrored_{0};
-  std::uint64_t remote_clamped_{0};
 };
 
 }  // namespace rmacsim

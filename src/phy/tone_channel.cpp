@@ -144,8 +144,9 @@ void ToneChannel::fan_out_edge(NodeId id, const Source& s, SimTime when) {
   // (local edges have when == now, so the serial path is unchanged).  The SoA
   // sweep's visit order is unspecified, so collect and sort by NodeId:
   // equal-latency callbacks must fire in a deterministic,
-  // platform-independent order.
-  const SimTime now = scheduler_.now();
+  // platform-independent order.  A remote edge's callbacks still land in the
+  // future: the window is never wider than the cross-shard propagation delay
+  // (docs/parallel.md), and the CCA latency comes on top.
   const Vec2 src_pos = s.mobility->position(when);
   scratch_.clear();
   sync_soa(when);
@@ -160,7 +161,7 @@ void ToneChannel::fan_out_edge(NodeId id, const Source& s, SimTime when) {
     if (!cb) continue;
     const SimTime at = when + params_.propagation_delay(std::sqrt(d2)) + params_.cca;
     // Copy the callback: the subscription may change before delivery.
-    scheduler_.schedule_at(std::max(at, now), [cb, id] { cb(id); });
+    scheduler_.schedule_at(at, [cb, id] { cb(id); });
   }
 }
 

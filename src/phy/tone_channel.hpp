@@ -63,10 +63,10 @@ public:
   void set_edge_hook(EdgeHook hook) { edge_hook_ = std::move(hook); }
 
   // Record a tone edge of a source that lives in another shard (attached
-  // here as a pinned phantom).  `when` is the source shard's emission time
-  // and may precede now() by up to one lookahead window: the history
-  // interval is backdated so sensed_at / detected_in_window keep exact
-  // semantics, while the edge-subscriber fan-out clamps to the future.
+  // here as a phantom).  `when` is the source shard's emission time and may
+  // precede now() by up to one lookahead window: the history interval is
+  // backdated so sensed_at / detected_in_window keep exact semantics, and
+  // the edge-subscriber fan-out schedules at the true arrival times.
   // Raise/on-time metrics and trace records stay with the source shard.
   void set_remote_tone(NodeId id, bool on, SimTime when);
 
@@ -169,8 +169,7 @@ private:
   std::uint32_t tone_kind_;  // kToneKind* derived from name, for trace records
   Tracer* tracer_;
   // Shared tail of set_tone / set_remote_tone: notify in-range edge
-  // subscribers of `id`'s leading edge emitted at `when` (never earlier
-  // than now for the scheduler).
+  // subscribers of `id`'s leading edge emitted at `when`.
   void fan_out_edge(NodeId id, const Source& s, SimTime when);
   // Call the watchers within notification reach of `id`.
   void notify_watchers(NodeId id);

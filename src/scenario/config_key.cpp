@@ -203,7 +203,6 @@ std::string canonical_config(const ExperimentConfig& c) {
   field("rbt"), s += c.rbt_protection ? '1' : '0';
   field("strategy"), s += strategy_token(c.strategy);
   field("shards"), append_u64(s, c.shards);
-  field("lookahead_ns"), append_i64(s, c.shard_lookahead_floor.nanoseconds());
   field("partition"), s += partition_token(c.shard_partition);
   field("grid_rows"), append_u64(s, c.shard_grid_rows);
   field("grid_cols"), append_u64(s, c.shard_grid_cols);
@@ -300,8 +299,6 @@ bool parse_canonical_config(std::string_view text, ExperimentConfig& out, std::s
       if (!strategy_from_token(f.value, c.strategy)) f.fail("unknown strategy");
     } else if (f.key == "shards") {
       f.u32(c.shards);
-    } else if (f.key == "lookahead_ns") {
-      f.time_ns(c.shard_lookahead_floor);
     } else if (f.key == "partition") {
       if (!partition_from_token(f.value, c.shard_partition)) f.fail("unknown partition");
     } else if (f.key == "grid_rows") {

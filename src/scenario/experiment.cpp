@@ -243,7 +243,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   net_cfg.app.strategy = config.strategy;
   net_cfg.shards = config.shards;
   net_cfg.shard_threads = config.shard_threads;
-  net_cfg.shard_lookahead_floor = config.shard_lookahead_floor;
   net_cfg.shard_partition = config.shard_partition;
   net_cfg.shard_grid_rows = config.shard_grid_rows;
   net_cfg.shard_grid_cols = config.shard_grid_cols;
@@ -278,10 +277,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   // One auditor per shard, auditing that shard's nodes only.  Recorded
-  // transmissions are always local (remote mirrors emit no trace records),
-  // so the distance oracle only ever needs local-local pairs; anything else
-  // reports "unknown" and the invariant is skipped — a false negative at the
-  // shard boundary, never a false positive.
+  // transmissions are always local (remote mirrors emit no trace records).
+  // Remote nodes reach a shard's auditor only as tone sources: their edges
+  // come from the engine's remote-tone hook and their positions from the
+  // phantoms the shard's tone channels already use, so no worker reads
+  // another shard's state.
   std::vector<std::unique_ptr<SimAuditor>> auditors;
   if (config.audit) {
     for (std::size_t s = 0; s < S; ++s) {
@@ -290,12 +290,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           config.protocol == Protocol::kRmac ? AuditedMac::kRmac : AuditedMac::kDot11Family;
       ac.phy = config.phy;
       ac.rbt_protection = config.rbt_protection;
-      ac.distance = [&net, s, n](NodeId a, NodeId b, SimTime t) -> double {
-        if (a >= n || b >= n || net.shard_of(a) != s || net.shard_of(b) != s) return -1.0;
-        return distance(net.node(a).mobility->position(t), net.node(b).mobility->position(t));
+      // A local node's own model, else its phantom (null = unknown).
+      const auto model = [&net, s, n](NodeId id) -> MobilityModel* {
+        return id < n && net.shard_of(id) == s ? net.node(id).mobility.get() : net.phantom(id);
+      };
+      ac.distance = [model](NodeId a, NodeId b, SimTime t) -> double {
+        MobilityModel* ma = model(a);
+        MobilityModel* mb = model(b);
+        if (ma == nullptr || mb == nullptr) return -1.0;
+        return distance(ma->position(t), mb->position(t));
       };
       ac.audited = [&net, s, n](NodeId id) { return id < n && net.shard_of(id) == s; };
       auditors.push_back(std::make_unique<SimAuditor>(net.shard(s).tracer, std::move(ac)));
+    }
+    if (sharded) {
+      net.set_remote_tone_hook([&auditors](std::size_t s, NodeId source, bool rbt, bool on,
+                                           SimTime at) {
+        auditors[s]->note_tone(source, rbt ? kToneKindRbt : kToneKindAbt, on, at);
+      });
     }
   }
 
@@ -476,7 +488,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     r.shard.windows = net.windows_run();
     r.shard.messages = net.messages_exchanged();
     r.shard.remote_mirrors = net.remote_mirrors();
-    r.shard.clamped = net.clamped();
     r.shard.safety_violations = net.safety_violations();
     r.shard.tau = net.tau();
     r.shard.window = net.window();

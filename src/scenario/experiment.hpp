@@ -39,8 +39,6 @@ struct ExperimentConfig {
   // only on the shard count, never on threads.
   unsigned shards{1};
   unsigned shard_threads{0};
-  // Window-width floor passed to the engine: windows are max(tau, floor).
-  SimTime shard_lookahead_floor{SimTime::us(200)};
   // Spatial partitioner (stripes / R×C grid / recursive coordinate
   // bisection) and the grid shape (0 = derive near-square).
   ShardPartition shard_partition{ShardPartition::kStripes};
@@ -215,7 +213,6 @@ struct ExperimentResult {
     std::uint64_t windows{0};         // barriers executed
     std::uint64_t messages{0};        // cross-shard messages exchanged
     std::uint64_t remote_mirrors{0};  // remote transmissions mirrored
-    std::uint64_t clamped{0};         // receptions clamped to a barrier
     std::uint64_t safety_violations{0};
     SimTime tau{SimTime::zero()};     // computed lookahead
     SimTime window{SimTime::zero()};  // effective window width

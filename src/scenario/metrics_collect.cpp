@@ -61,7 +61,7 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
 
   // --- medium --------------------------------------------------------------
   Medium::Counters mc;
-  std::uint64_t tx_started = 0, remote_mirrors = 0, remote_clamped = 0;
+  std::uint64_t tx_started = 0, remote_mirrors = 0;
   std::size_t med_slots = 0, med_free = 0;
   for (const WorldRefs& w : worlds) {
     const Medium::Counters& c = w.medium->counters();
@@ -74,7 +74,6 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
     mc.rx_corrupt += c.rx_corrupt;
     mc.rx_half_duplex += c.rx_half_duplex;
     remote_mirrors += w.medium->remote_mirrored();
-    remote_clamped += w.medium->remote_clamped();
     med_slots += w.medium->pool_slots();
     med_free += w.medium->pool_free_slots();
   }
@@ -99,11 +98,6 @@ void collect_phy(MetricsRegistry& reg, std::span<const WorldRefs> worlds) {
     reg.counter("rmacsim_phy_remote_mirrors_total", {},
                 "cross-shard transmissions mirrored into a destination shard")
         .set(remote_mirrors);
-  }
-  if (remote_clamped != 0) {
-    reg.counter("rmacsim_phy_remote_clamped_total", {},
-                "mirrored receptions clamped to a window barrier")
-        .set(remote_clamped);
   }
   reg.gauge("rmacsim_phy_pool_slots", {}, "transmission slab capacity")
       .set(static_cast<double>(med_slots));

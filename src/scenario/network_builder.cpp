@@ -721,8 +721,7 @@ void Network::compute_lookahead(const std::vector<Vec2>& placement) {
   tau_ = min_d2 == std::numeric_limits<double>::max()
              ? kMaxWindow
              : config_.phy.propagation_delay(std::sqrt(min_d2));
-  window_ = std::max(tau_, config_.shard_lookahead_floor);
-  window_ = std::clamp(window_, SimTime::ns(1), kMaxWindow);
+  window_ = std::clamp(tau_, SimTime::ns(1), kMaxWindow);
 }
 
 void Network::recompute_window() {
@@ -772,8 +771,7 @@ void Network::recompute_window() {
     w = w2;
   }
   tau_ = w;
-  window_ = std::max(w, config_.shard_lookahead_floor);
-  window_ = std::clamp(window_, SimTime::ns(1), kMaxWindow);
+  window_ = std::clamp(w, SimTime::ns(1), kMaxWindow);
 }
 
 void Network::refresh_phantoms(SimTime from, SimTime to) {
@@ -865,7 +863,9 @@ void Network::apply_msg(std::size_t src, std::size_t dest, const Msg& m) {
     case Msg::Kind::kToneOn:
     case Msg::Kind::kToneOff: {
       ToneChannel& tc = m.channel == 0 ? *sh.rbt : *sh.abt;
-      tc.set_remote_tone(m.node, m.kind == Msg::Kind::kToneOn, m.start);
+      const bool on = m.kind == Msg::Kind::kToneOn;
+      tc.set_remote_tone(m.node, on, m.start);
+      if (remote_tone_hook_) remote_tone_hook_(dest, m.node, m.channel == 0, on, m.start);
       break;
     }
   }
@@ -892,7 +892,11 @@ void Network::drain_and_apply() {
         return a.seq < b.seq;
       });
       for (const Msg& m : inbox_) {
-        if (m.at > clock_ || m.at < prev_clock_) ++violations_;
+        // A message belongs to the window just run, and its earliest remote
+        // effect (at least tau later) must land after that window's barrier.
+        // With the window equal to tau only a tau rounded below 1 ns (window
+        // held at 1 ns) can break the second condition.
+        if (m.at > clock_ || m.at < prev_clock_ || m.at + tau_ <= clock_) ++violations_;
         if (telemetry_ != nullptr) ++win_msgs_[static_cast<std::size_t>(m.kind)];
         apply_msg(shard_of_[m.node], dest, m);
       }
@@ -1060,12 +1064,6 @@ LossLedger& Network::shard_ledger(std::size_t s) noexcept {
 std::uint64_t Network::remote_mirrors() const noexcept {
   std::uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->medium->remote_mirrored();
-  return n;
-}
-
-std::uint64_t Network::clamped() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->medium->remote_clamped();
   return n;
 }
 

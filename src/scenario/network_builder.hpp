@@ -75,10 +75,6 @@ struct NetworkConfig {
   // matter when shards > 1.
   unsigned shards{1};
   unsigned shard_threads{0};  // 0 = one worker thread per shard
-  // Window-width floor: windows are max(tau, floor) wide.  Above tau the
-  // engine clamps late cross-shard arrivals (counted, not exact); 0 keeps
-  // windows at tau for bit-exact boundary physics at the cost of barriers.
-  SimTime shard_lookahead_floor{SimTime::us(200)};
   ShardPartition shard_partition{ShardPartition::kStripes};
   // Grid shape for kGrid; 0 rows/cols derives a near-square R×C = shards
   // factorization (R ≤ C, widest area axis gets the larger count).
@@ -113,12 +109,10 @@ struct NetworkConfig {
 // Lookahead: tau is computed per coupled shard pair (corner-adjacent shards
 // included — coupling is by bounding-box distance, which covers diagonal
 // faces) from the actual closest cross-pair node distance; the window is the
-// minimum over coupled pairs, widened to max(tau, lookahead_floor).  With
-// the floor at or below tau every cross-shard effect lands naturally inside
-// the destination's next window (bit-exact boundary physics); above it late
-// arrivals are clamped to the barrier and counted.  Between event clusters
-// the barrier jumps to the earliest pending event across shards, so idle air
-// costs no synchronization.
+// minimum over coupled pairs, so every cross-shard effect lands inside the
+// destination's next window (bit-exact boundary physics).  Between event
+// clusters the barrier jumps to the earliest pending event across shards,
+// so idle air costs no synchronization.
 //
 // Mobility is exact: remote nodes appear in each shard's tone channels as
 // trajectory phantoms (TrajectoryMobility) that replay the owner's sampled
@@ -190,6 +184,21 @@ public:
   // non-finite coordinate.
   [[nodiscard]] static bool placement_connected(const std::vector<Vec2>& pts, double range_m);
 
+  // Observer of the remote tone edges applied into each shard (`rbt` false
+  // = ABT), called from the serial plan phase in merge order at the edge's
+  // true emission time.  Lets a per-shard consumer (the auditor) hear
+  // boundary tones without reading another shard's trace.  Install before
+  // the first run_until; never called at one shard.
+  using RemoteToneHook =
+      std::function<void(std::size_t shard, NodeId source, bool rbt, bool on, SimTime at)>;
+  void set_remote_tone_hook(RemoteToneHook hook) { remote_tone_hook_ = std::move(hook); }
+  // Read-only position proxy of a node as other shards see it (null at one
+  // shard, and for a stationary node no other shard can hear).  Its
+  // positions are exact over the current window.
+  [[nodiscard]] MobilityModel* phantom(NodeId id) const noexcept {
+    return id < phantoms_.size() ? phantoms_[id].get() : nullptr;
+  }
+
   // Per-window worker setup seam (profiler attachment).  Install before the
   // first run_until.
   void set_worker_hook(std::function<void(unsigned)> hook);
@@ -225,7 +234,9 @@ public:
   [[nodiscard]] std::uint64_t windows_run() const noexcept { return windows_; }
   [[nodiscard]] std::uint64_t messages_exchanged() const noexcept { return messages_; }
   [[nodiscard]] std::uint64_t remote_mirrors() const noexcept;
-  [[nodiscard]] std::uint64_t clamped() const noexcept;
+  // Cross-shard messages applied outside their window, or whose earliest
+  // remote effect could land at or before the barrier they were drained at
+  // (tau rounded below 1 ns).  Zero means the run was exact.
   [[nodiscard]] std::uint64_t safety_violations() const noexcept { return violations_; }
   [[nodiscard]] unsigned threads_used() const noexcept { return threads_used_; }
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
@@ -320,6 +331,7 @@ private:
   // there: window_open_ marks a planned-but-unrecorded window.
   std::unique_ptr<WindowTelemetry> telemetry_;
   std::function<void()> barrier_hook_;
+  RemoteToneHook remote_tone_hook_;
   bool window_open_{false};
   std::vector<std::uint64_t> prev_executed_;      // per-shard executed_count watermark
   std::vector<std::uint64_t> win_events_scratch_;  // per-shard events this window

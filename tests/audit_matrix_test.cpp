@@ -63,10 +63,10 @@ TEST(AuditMatrix, PaperScenarioAuditsCleanForEveryProtocolAndSeed) {
 
 TEST(AuditMatrix, ShardedPaperScenarioAuditsCleanForEveryProtocol) {
   // The same acceptance bar for the spatially sharded engine: one auditor
-  // per shard (remote mirrors emit no trace records, so every recorded
-  // transmission is local and the per-shard distance oracle is exact for
-  // everything the auditor checks).  Stationary only — that is the regime
-  // where the engine's physics is exact rather than clamped-approximate.
+  // per shard.  Every recorded transmission is local (remote mirrors emit no
+  // trace records); boundary tones reach each auditor from the engine's
+  // remote-tone hook, and remote positions from the shard's phantoms.  The
+  // speed1 rows audit those edges and phantom positions under motion.
   std::vector<ExperimentConfig> configs;
   for (const Protocol proto : {Protocol::kRmac, Protocol::kBmmm, Protocol::kDcf,
                                Protocol::kBmw, Protocol::kMx, Protocol::kLamm}) {
@@ -75,6 +75,12 @@ TEST(AuditMatrix, ShardedPaperScenarioAuditsCleanForEveryProtocol) {
       c.shards = 2;
       configs.push_back(c);
     }
+  }
+  for (const Protocol proto : {Protocol::kRmac, Protocol::kBmmm}) {
+    ExperimentConfig c = paper_config(proto, 1);
+    c.shards = 2;
+    c.mobility = MobilityScenario::kSpeed1;
+    configs.push_back(c);
   }
   const std::vector<ExperimentResult> results = run_experiments(configs, 4);
   ASSERT_EQ(results.size(), configs.size());

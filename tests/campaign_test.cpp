@@ -397,7 +397,6 @@ TEST(CliNumbers, RunExperimentRefusesMalformedNumbers) {
            {"--ber 1e-5x", "--ber", "1e-5x"},
            {"--area 500x300m", "--area", "500x300m"},
            {"--shards -1", "--shards", "-1"},
-           {"--lookahead-us -5", "--lookahead-us", "-5"},
            {"--progress 1s", "--progress", "1s"},
        }) {
     const auto [code, err] =
@@ -406,6 +405,16 @@ TEST(CliNumbers, RunExperimentRefusesMalformedNumbers) {
     EXPECT_NE(err.find(cat("error: bad ", flag, " '", value, "'")), std::string::npos)
         << args << ": " << err;
   }
+}
+
+TEST(CliNumbers, RunExperimentNamesAnUnknownFlag) {
+  // A flag the CLI does not know — here the window floor that sharded runs
+  // no longer have — is named on stderr before the usage text, exit 2.
+  const auto [code, err] =
+      run_capture_stderr(cat(RMAC_RUN_EXPERIMENT_BIN, " --shards 2 --lookahead-us 0"));
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(err.find("error: unknown flag '--lookahead-us'"), std::string::npos) << err;
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
 }
 
 TEST(CliNumbers, RunCampaignRefusesMalformedNumbers) {

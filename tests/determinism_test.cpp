@@ -110,7 +110,6 @@ void expect_identical_sharded(const ExperimentResult& a, const ExperimentResult&
   EXPECT_EQ(a.ledger.total_dropped(), b.ledger.total_dropped());
   EXPECT_EQ(a.shard.windows, b.shard.windows);
   EXPECT_EQ(a.shard.messages, b.shard.messages);
-  EXPECT_EQ(a.shard.clamped, b.shard.clamped);
 }
 
 TEST(Determinism, ShardMatrixIsThreadAndRepeatInvariantForEveryProtocol) {

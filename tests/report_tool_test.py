@@ -2,7 +2,7 @@
 """tools/rmacsim_report.py over real artifacts (ctest: ReportTool.*).
 
 `artifacts` writes three artifact sets into WORK: a one-shard run, an exact
-two-shard run (--lookahead-us 0), and an in-process campaign.  Every other
+two-shard run, and an in-process campaign.  Every other
 case runs `check` on one manifest and asserts its exit status: 0 on the
 untouched sets, 1 on a tampered copy of one, 2 on an input that is no
 rmacsim artifact.  `MovedArtifacts` copies the run and campaign directories
@@ -84,7 +84,7 @@ def make_artifacts(args) -> int:
     work.mkdir(parents=True)
     for cmd in (
             [args.run_experiment, *RUN, "--obs-dir", "run", "--metrics-dir", "run"],
-            [args.run_experiment, *RUN, "--shards", "2", "--lookahead-us", "0",
+            [args.run_experiment, *RUN, "--shards", "2",
              "--obs-dir", "sharded", "--metrics-dir", "sharded"],
             [args.run_campaign, "--protocols", "rmac,dcf", "--mobilities", "stationary",
              "--rates", "20", "--seeds", "1,2", "--nodes", "40", "--packets", "40",

@@ -248,6 +248,10 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   // on that shard's own counter tracks, the window ring lands as per-window
   // counters and worker tracks, and the totals land in the metrics snapshot.
   ExperimentConfig c = telemetry_config(5, ShardPartition::kGrid, 4, 4);
+  // Short enough that the ring (4096 windows) holds every window.
+  c.warmup = SimTime::sec(4);
+  c.num_packets = 4;
+  c.drain = SimTime::sec(1);
   c.obs.record = true;
   c.obs.out_dir = testing::TempDir() + "wt_export";
   c.obs.prefix = "wt";
@@ -285,6 +289,7 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   // Per retained window: one events arg and one busy arg per shard.  The
   // ring holds every window of this short run, so the per-shard event
   // columns sum to the totals on the result.
+  ASSERT_LE(r.shard.windows, 4096u) << "run outgrew the window ring; shorten it";
   const auto shard_events = counters(trace, "shard_events");
   const auto shard_busy = counters(trace, "shard_busy_ms");
   ASSERT_EQ(shard_events.size(), r.shard.windows);

@@ -1214,14 +1214,9 @@ def scaling_families(report: dict) -> dict:
         parts = name.split("/")  # BM_x/<arg0>/<arg1>/real_time
         if not name.startswith("BM_Sharded") or "Experiment" not in name or len(parts) < 3:
             continue
+        # arg0 = nodes, arg1 = shards.
         family, arg0, arg1 = parts[:3]
-        if family == "BM_Sharded100kExperiment":
-            # arg0 encodes the grid as rows*10+cols; 11 is the 1x1 baseline.
-            label = f"{int(arg0) // 10}x{int(arg0) % 10}/{arg1}t"
-            serial = arg0 == "11" and arg1 == "1"
-        else:
-            # BM_ShardedSmallExperiment: arg0 = nodes, arg1 = shards.
-            family, label, serial = f"{family}/{arg0}", f"{arg1}s", arg1 == "1"
+        family, label, serial = f"{family}/{arg0}", f"{arg1}s", arg1 == "1"
         families[family].append({
             "label": label, "time": b["real_time"], "unit": b.get("time_unit", "ms"),
             "serial": serial, "undersubscribed": bool(b.get("undersubscribed"))})
