@@ -6,12 +6,12 @@
 #include <cstdio>
 
 #include "scenario/parallel_runner.hpp"
-#include "sweep.hpp"
+#include "scale.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  const SweepScale scale = scale_from_env();
+  const BenchScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("Ablation — capture effect (stationary, RMAC)\n");
   std::printf("  no capture: any overlap corrupts both frames (paper default)\n");
@@ -28,7 +28,6 @@ int main() {
         c.mobility = MobilityScenario::kStationary;
         c.rate_pps = rate;
         c.num_packets = scale.packets;
-        c.num_nodes = scale.nodes;
         c.seed = s + 1;
         c.phy.capture_ratio = ratio;
         configs.push_back(c);

@@ -7,12 +7,12 @@
 #include <cstdio>
 
 #include "scenario/parallel_runner.hpp"
-#include "sweep.hpp"
+#include "scale.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  const SweepScale scale = scale_from_env();
+  const BenchScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("Ablation — sender-initiated (RMAC) vs receiver-initiated (802.11MX)\n");
   std::printf("  believed = fraction of Reliable Sends the MAC reported successful\n");
@@ -29,7 +29,6 @@ int main() {
         c.mobility = mob;
         c.rate_pps = 20.0;
         c.num_packets = scale.packets;
-        c.num_nodes = scale.nodes;
         c.seed = s + 1;
         configs.push_back(c);
       }

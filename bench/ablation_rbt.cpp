@@ -6,12 +6,12 @@
 #include <cstdio>
 
 #include "scenario/parallel_runner.hpp"
-#include "sweep.hpp"
+#include "scale.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  const SweepScale scale = scale_from_env();
+  const BenchScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("Ablation — RMAC with vs without RBT protection (stationary)\n");
   std::printf("==================================================================\n");
@@ -26,7 +26,6 @@ int main() {
         c.mobility = MobilityScenario::kStationary;
         c.rate_pps = rate;
         c.num_packets = scale.packets;
-        c.num_nodes = scale.nodes;
         c.seed = s + 1;
         c.rbt_protection = protection;
         configs.push_back(c);

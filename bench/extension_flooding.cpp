@@ -10,12 +10,12 @@
 #include <cstdio>
 
 #include "scenario/parallel_runner.hpp"
-#include "sweep.hpp"
+#include "scale.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  const SweepScale scale = scale_from_env();
+  const BenchScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("Extension — tree vs flooding forwarding over RMAC (rate 20 pkt/s)\n");
   std::printf("  paper §1: trees lose subtrees on link breaks; meshes add redundancy\n");
@@ -34,7 +34,6 @@ int main() {
         // Flooding multiplies work ~16x; cap the per-run packet count so the
         // bench stays snappy at the default scale.
         c.num_packets = std::min<std::uint32_t>(scale.packets, 150);
-        c.num_nodes = scale.nodes;
         c.seed = s + 1;
         c.strategy = strat;
         configs.push_back(c);

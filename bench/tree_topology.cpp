@@ -5,12 +5,12 @@
 
 #include "scenario/parallel_runner.hpp"
 #include "stats/percentile.hpp"
-#include "sweep.hpp"
+#include "scale.hpp"
 
 int main() {
   using namespace rmacsim;
   using namespace rmacsim::bench;
-  SweepScale scale = scale_from_env();
+  const BenchScale scale = scale_from_env();
   std::printf("==================================================================\n");
   std::printf("§4.1.1 — Tree Topology Statistics (BLESS-lite, 75 nodes, 500x300 m)\n");
   std::printf("  paper: hops avg 3.87 / p99 10; children avg 3.54 / p99 9\n");

@@ -8,6 +8,10 @@
 //   run_campaign --protocols rmac,dcf --mobilities stationary,speed2
 //                --rates 10,40 --seeds 1,2,3 --nodes 75 --packets 300
 //
+// Grid flags override the spec file's fields, before or after --spec:
+//
+//   run_campaign --spec bench/paper_grid.json --seeds 1,2,3 --packets 1000
+//
 // Re-running an identical campaign completes from the content-addressed
 // store with zero simulation work; --force ignores cached records.
 #include <cstdio>
@@ -75,6 +79,24 @@ std::string sibling_run_experiment() {
   return path.substr(0, slash + 1) + "run_experiment";
 }
 
+// Replace `spec` with the spec file at `path`; false after printing why it
+// cannot be read or parsed.
+bool read_spec_file(const char* path, CampaignSpec& spec) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "error: cannot open spec file %s\n", path);
+    return false;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  if (!parse_campaign_spec(text.str(), spec, &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", path, error.c_str());
+    return false;
+  }
+  return true;
+}
+
 const char* state_name(CellOutcome::State s) {
   switch (s) {
     case CellOutcome::State::kCached: return "cached";
@@ -89,8 +111,12 @@ const char* state_name(CellOutcome::State s) {
 int main(int argc, char** argv) {
   CampaignSpec spec;
   CampaignOptions opts;
-  bool have_spec_file = false;
   bool print_cells = false;
+  // The spec file is read before any other flag, so every flag overrides it
+  // wherever it stands on the command line.
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--spec") == 0 && !read_spec_file(argv[++i], spec)) return 2;
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -98,20 +124,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--spec") {
-      const char* path = next();
-      std::ifstream in(path);
-      if (!in) {
-        std::fprintf(stderr, "error: cannot open spec file %s\n", path);
-        return 2;
-      }
-      std::ostringstream text;
-      text << in.rdbuf();
-      std::string error;
-      if (!parse_campaign_spec(text.str(), spec, &error)) {
-        std::fprintf(stderr, "error: %s: %s\n", path, error.c_str());
-        return 2;
-      }
-      have_spec_file = true;
+      next();  // read above
     } else if (arg == "--protocols") {
       spec.protocols.clear();
       for (const auto& tok : split_csv(next())) {
@@ -189,7 +202,6 @@ int main(int argc, char** argv) {
   if (opts.workers > 0 && opts.worker_binary.empty()) {
     opts.worker_binary = sibling_run_experiment();
   }
-  (void)have_spec_file;
   // --nodes/--rates/--packets override the spec after parse_campaign_spec
   // checked it, so check the final grid before any cell runs.
   if (const std::string why = spec_error(spec); !why.empty()) {

@@ -372,15 +372,20 @@ TEST(ExperimentConfigCheck, RunCampaignRejectsBadOverridesBeforeAnyCellRuns) {
 // value below is refused by the parser itself (never run these against a
 // binary that parses with atoi: a negative count wraps to ~4.29e9).
 
+// Exit code and output of a shell command line; the caller redirects.
+std::pair<int, std::string> run_capture(const std::string& cmd) {
+  std::string out;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, out};
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
 // stderr of `cmd` (stdout discarded) and its exit code.
 std::pair<int, std::string> run_capture_stderr(const std::string& cmd) {
-  std::string err;
-  FILE* pipe = ::popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
-  if (pipe == nullptr) return {-1, err};
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) err += buf;
-  const int status = ::pclose(pipe);
-  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+  return run_capture(cmd + " 2>&1 >/dev/null");
 }
 
 TEST(CliNumbers, RunExperimentRefusesMalformedNumbers) {
@@ -446,6 +451,62 @@ TEST(CliNumbers, RunCampaignRefusesMalformedNumbers) {
   EXPECT_EQ(exit_code(cat(base, " --seeds 1,2 --rates 2e1,12.5 --nodes 20 --packets 5"
                                 " --timeout 0.5 --area 500x300")),
             0);
+}
+
+// ---------------------------------------------------------------------------
+// run_campaign --spec: flags override the file; the paper grid
+
+// The labelled cells `run_campaign <args> --print-cells` lists, in order.
+std::vector<std::pair<std::string, std::string>> printed_cells(const std::string& args) {
+  const auto [code, out] =
+      run_capture(cat(RMAC_RUN_CAMPAIGN_BIN, " ", args, " --print-cells 2>/dev/null"));
+  EXPECT_EQ(code, 0) << args;
+  std::vector<std::pair<std::string, std::string>> cells;
+  std::istringstream lines(out);
+  for (std::string key, label; lines >> key >> label;) cells.emplace_back(key, label);
+  return cells;
+}
+
+TEST(RunCampaignSpec, FlagsOverrideTheSpecFileInEitherOrder) {
+  const std::string dir = testing::TempDir() + "campaign_spec_order";
+  std::filesystem::create_directories(dir);
+  const std::string spec = dir + "/s.json";
+  std::ofstream(spec) << R"({"protocols": ["rmac", "dcf"], "rates": [10, 40],
+                             "seeds": [1, 2, 3], "nodes": 40, "packets": 5})";
+  const auto before = printed_cells(cat("--seeds 7 --spec ", spec));
+  const auto after = printed_cells(cat("--spec ", spec, " --seeds 7"));
+  EXPECT_EQ(before, after);
+  // 2 protocols x 2 rates x the one seed the flag names.
+  ASSERT_EQ(after.size(), 4u);
+  EXPECT_EQ(after[0].second, "rmac/stationary/r10/s7");
+  EXPECT_EQ(after[3].second, "dcf/stationary/r40/s7");
+}
+
+TEST(RunCampaignSpec, PaperGridIsTheFigureSweep) {
+  // bench/paper_grid.json is the Figs. 7-13 grid: RMAC and BMMM x 3
+  // mobilities x 8 rates x 2 seeds, protocol-major with seeds fastest, each
+  // cell at the key of a default config with only the grid fields set.
+  const auto cells = printed_cells(cat("--spec ", RMAC_PAPER_GRID_SPEC));
+  std::vector<std::pair<std::string, std::string>> want;
+  for (const Protocol proto : {Protocol::kRmac, Protocol::kBmmm}) {
+    for (const MobilityScenario mob : {MobilityScenario::kStationary,
+                                       MobilityScenario::kSpeed1, MobilityScenario::kSpeed2}) {
+      for (const double rate : {5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          ExperimentConfig c;
+          c.protocol = proto;
+          c.mobility = mob;
+          c.rate_pps = rate;
+          c.num_packets = 300;
+          c.num_nodes = 75;
+          c.seed = seed;
+          want.emplace_back(cell_key(canonical_config(c), build_revision()), cell_label(c));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(want.size(), 96u);
+  EXPECT_EQ(cells, want);
 }
 
 // ---------------------------------------------------------------------------

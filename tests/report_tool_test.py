@@ -6,13 +6,17 @@ two-shard run, and an in-process campaign.  Every other
 case runs `check` on one manifest and asserts its exit status: 0 on the
 untouched sets, 1 on a tampered copy of one, 2 on an input that is no
 rmacsim artifact.  `MovedArtifacts` copies the run and campaign directories
-elsewhere and checks both copies from an unrelated cwd.
+elsewhere and checks both copies from an unrelated cwd.  `PaperFigures`
+re-derives the campaign's Figs. 7-13 view from its cell records.
 
     report_tool_test.py CASE --tool T --run-experiment B --run-campaign C --work DIR
 """
 import argparse
+import importlib.util
 import json
+import math
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +118,63 @@ def check_moved(args) -> int:
     return 0
 
 
+def check_paper_figures(args) -> int:
+    # The view's averaging against the records: ratios are means of the
+    # seeds' figures, Fig. 9's delay is pooled over the seeds' delay_samples
+    # (a mean weighted by each seed's sample count), and the Figs. 12/13
+    # maxima are the max of the seeds' maxima.
+    spec = importlib.util.spec_from_file_location("rmacsim_report", args.tool)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    manifest = Path(args.work) / "camp/c_manifest.json"
+    points = tool.grid_points(tool.load(str(manifest)))
+    problems = []
+    if list(points) != [("rmac", "stationary", "20"), ("dcf", "stationary", "20")]:
+        problems.append(f"grid points {list(points)}")
+    for key, records in points.items():
+        got = tool.average_figures(records)
+        figures = [r["figures"] for r in records]
+        want = {k: statistics.fmean(f[k] for f in figures) for k in tool.MEAN_FIGURES}
+        want.update({k: max(f[k] for f in figures) for k in tool.MAX_FIGURES})
+        delays = sorted(d for r in records for d in r["delay_samples"])
+        want["avg_delay_s"] = statistics.fmean(delays)
+        want["p99_delay_s"] = delays[math.ceil(0.99 * len(delays)) - 1]
+        weighted = sum(f["avg_delay_s"] * len(r["delay_samples"])
+                       for f, r in zip(figures, records)) / len(delays)
+        if len(records) != 2 or not math.isclose(weighted, want["avg_delay_s"], rel_tol=1e-12):
+            problems.append(f"{key}: {len(records)} seeds, sample-weighted delay {weighted}")
+        for k, v in want.items():
+            if not math.isclose(got[k], v, rel_tol=1e-12, abs_tol=1e-15):
+                problems.append(f"{key} {k}: view {got[k]}, records {v}")
+    # The fixture's seeds share their maxima, so skew one copy: the max of
+    # maxima must not come out as a mean.
+    records = points[("rmac", "stationary", "20")]
+    skewed = [dict(r, figures=dict(r["figures"], mrts_len_max=40.0 + i, abort_max=0.5 * i))
+              for i, r in enumerate(records)]
+    got = tool.average_figures(skewed)
+    if (got["mrts_len_max"], got["abort_max"]) != (41.0, 0.5):
+        problems.append(f"skewed maxima {got['mrts_len_max']}, {got['abort_max']}")
+    # `summary` prints the same numbers: the Fig. 9 row has a column per
+    # protocol, and Fig. 12's tables show RMAC alone.
+    done = sh([sys.executable, args.tool, "summary", manifest], Path(args.work))
+    lines = done.stdout.splitlines()
+
+    def below(heading: str, offset: int) -> str:
+        return lines[lines.index(heading) + offset] if heading in lines else ""
+
+    delay = below("-- stationary: delay_s --", 2)
+    want_row = "      20/s" + "".join(f"{tool.average_figures(r)['avg_delay_s']:14.4f}"
+                                     for r in points.values())
+    if done.returncode != 0 or delay != want_row:
+        problems.append(f"summary exited {done.returncode}, delay row {delay!r}, "
+                        f"want {want_row!r}")
+    mrts = below("-- stationary: MRTS max (B) --", 1)
+    if mrts.split() != ["rate", "rmac"]:
+        problems.append(f"Fig. 12 header {mrts!r}")
+    print("\n".join(problems) or "paper figures match the cell records")
+    return 1 if problems else 0
+
+
 def run_case(args) -> int:
     copy_of, target, change, manifest, want = CASES[args.case]
     root = Path(args.work)
@@ -138,15 +199,15 @@ def run_case(args) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("case", choices=["artifacts", "MovedArtifacts", *CASES])
+    parser.add_argument("case", choices=["artifacts", "MovedArtifacts", "PaperFigures", *CASES])
     parser.add_argument("--tool", required=True)
     parser.add_argument("--run-experiment", required=True)
     parser.add_argument("--run-campaign", required=True)
     parser.add_argument("--work", required=True)
     args = parser.parse_args()
-    if args.case == "artifacts":
-        return make_artifacts(args)
-    return check_moved(args) if args.case == "MovedArtifacts" else run_case(args)
+    special = {"artifacts": make_artifacts, "MovedArtifacts": check_moved,
+               "PaperFigures": check_paper_figures}
+    return special.get(args.case, run_case)(args)
 
 
 if __name__ == "__main__":

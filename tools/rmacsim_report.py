@@ -16,7 +16,6 @@ shape), never from its file name:
                        "campaign" block
     campaign manifest  "schema": "rmacsim-campaign-v1" (run_campaign)
     cell record        "schema": "rmacsim-cell-v1" (a result-store entry)
-    sweep CSV          paper_sweep output (plot only)
     bench report       "schema": "rmac-bench-core/1" (plot only)
 
 `check` re-verifies a trace's structure; a snapshot's conservation, its
@@ -24,12 +23,19 @@ ledger series against its ledger block and, on a sharded run, the shard
 series' cross-field consistency; and a campaign's aggregate as the merge of
 its cells.  On a manifest it checks every file the manifest indexes, so one
 call covers a run or a campaign.  `summary` prints worst-N packet journeys,
-the ledger breakdown, the shard-load table with a partition recommendation
-and the campaign's per-protocol table.  `diff` compares two snapshots (or
-run manifests) series by series and two campaigns (or cell records) figure
-by figure.  `plot` draws Figs. 7-13 from a sweep CSV, the channel timeline
-and shard load from a trace, and the sharded scaling curve from a bench
-report; without matplotlib it prints the same data as text.
+the ledger breakdown, the shard-load table with a partition recommendation,
+and a campaign's per-protocol and per-cell tables followed by the paper's
+Figs. 7-13 tables.  `diff` compares two snapshots (or run manifests) series
+by series and two campaigns (or cell records) figure by figure.  `plot`
+draws Figs. 7-13 and the loss decomposition from a campaign, the channel
+timeline and shard load from a trace, and the sharded scaling curve from a
+bench report; without matplotlib it prints the same data as text.
+
+The paper grid is the campaign spec bench/paper_grid.json:
+
+    run_campaign --spec bench/paper_grid.json --store build/campaign_store \
+                 --out build --prefix paper_grid
+    python3 tools/rmacsim_report.py summary build/paper_grid_manifest.json
 
 A manifest's paths are relative to the manifest's own directory, so a
 copied or moved artifact directory checks from any cwd.  Exit status: 0 ok, 1 a check failed, 2 usage error or
@@ -39,10 +45,10 @@ lazily.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
+import operator
 import os
 import statistics
 import sys
@@ -56,7 +62,6 @@ SCHEMA_KINDS = {
     "rmac-bench-core/1": "bench report",
 }
 AGGREGATE_SCHEMA = "rmacsim-campaign-aggregate-v1"
-SWEEP_COLUMNS = {"protocol", "mobility", "rate_pps"}
 MAX_PROBLEMS = 20
 
 
@@ -117,8 +122,7 @@ def load(path: str, *kinds: str) -> Artifact:
         try:
             kind = json_kind(json.loads(first))
         except json.JSONDecodeError:
-            if SWEEP_COLUMNS <= set(next(csv.reader([first]), [])):
-                kind, doc = "sweep CSV", text
+            pass
     if kind == "journeys":
         doc = parse_journeys(path, text)
     if kind is None:
@@ -852,6 +856,122 @@ def summarize_trace(art: Artifact, args) -> None:
         shard_load_text(load_[1], load_[2])
 
 
+# ---------------------------------------------------------------------------
+# Paper figures: Figs. 7-13 from a campaign's cell records
+
+MOBILITIES = ("stationary", "speed1", "speed2")
+# How average_results (src/scenario/experiment.cpp) folds the seeds of one
+# grid point: these figures are means of the per-seed figures, the maxima
+# are the max of the per-seed maxima, and the delay pair is computed over
+# the pooled delay_samples of every seed.
+MEAN_FIGURES = ("delivery_ratio", "avg_drop_ratio", "avg_retx_ratio", "avg_txoh_ratio",
+                "mrts_len_avg", "mrts_len_p99", "abort_avg", "abort_p99")
+MAX_FIGURES = ("mrts_len_max", "abort_max")
+# (PNG name, title, [(column heading, figure)], the one protocol shown or
+# None for all).  Figs. 12 and 13 measure MRTS frames, which only RMAC sends.
+PAPER_FIGURES = (
+    ("fig07_delivery", "Figure 7 — Packet Delivery Ratio",
+     [("R_deliv", "delivery_ratio")], None),
+    ("fig08_drop", "Figure 8 — Average Packet Drop Ratio",
+     [("R_drop", "avg_drop_ratio")], None),
+    ("fig09_delay", "Figure 9 — Average End-to-End Delay (seconds)",
+     [("delay_s", "avg_delay_s")], None),
+    ("fig10_retx", "Figure 10 — Average Packet Retransmission Ratio",
+     [("R_retx", "avg_retx_ratio")], None),
+    ("fig11_overhead", "Figure 11 — Average Transmission Overhead Ratio",
+     [("R_txoh", "avg_txoh_ratio")], None),
+    ("fig12_mrts_len", "Figure 12 — MRTS Length (bytes)",
+     [("MRTS avg (B)", "mrts_len_avg"), ("MRTS p99 (B)", "mrts_len_p99"),
+      ("MRTS max (B)", "mrts_len_max")], "rmac"),
+    ("fig13_abort", "Figure 13 — MRTS Abortion Ratio (R_abort)",
+     [("R_abort avg", "abort_avg"), ("R_abort p99", "abort_p99"),
+      ("R_abort max", "abort_max")], "rmac"),
+)
+
+
+def grid_points(art: Artifact) -> dict:
+    """(protocol, mobility, rate token) -> the cell records of that grid
+    point's seeds, in campaign order.  Failed cells have no record."""
+    points = {}
+    for cell in art.doc["cells"]:
+        if cell["state"] == "failed":
+            continue
+        proto, mob, rate, _seed = cell["label"].split("/")
+        record = load(indexed(art.path, cell["record"]), "cell record").doc
+        points.setdefault((proto, mob, rate.removeprefix("r")), []).append(record)
+    return points
+
+
+def add(values) -> float:
+    """Left-to-right double sum, the order the C++ accumulators add in."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def average_figures(records: list[dict]) -> dict:
+    """One grid point from its per-seed cell records, as average_results
+    computes it; p99 is the nearest-rank percentile of stats/percentile."""
+    n = len(records)
+    figures = [r["figures"] for r in records]
+    point = {k: add(f[k] / n for f in figures) for k in MEAN_FIGURES}
+    point.update({k: max(0.0, *(f[k] for f in figures)) for k in MAX_FIGURES})
+    pooled = [d for r in records for d in r["delay_samples"]]
+    ranked = sorted(pooled)
+    point["avg_delay_s"] = add(pooled) / len(pooled) if pooled else 0.0
+    point["p99_delay_s"] = ranked[max(1, math.ceil(0.99 * len(ranked))) - 1] if ranked else 0.0
+    return point
+
+
+def paper_view(points: dict) -> tuple[list, list, dict]:
+    """(protocols, mobilities, averaged) in campaign order; averaged maps
+    (protocol, mobility, rate token) to average_figures of that point."""
+    averaged = {key: average_figures(records) for key, records in points.items()}
+    protocols = list(dict.fromkeys(p for p, _, _ in averaged))
+    mobilities = [m for m in MOBILITIES if any(k[1] == m for k in averaged)]
+    return protocols, mobilities, averaged
+
+
+def figure_tables(points: dict) -> None:
+    """Figs. 7-13 as tables: one per figure, metric and mobility panel, a row
+    per source rate and a column per protocol."""
+    protocols, mobilities, averaged = paper_view(points)
+    for _, title, metrics, only in PAPER_FIGURES:
+        columns = [p for p in protocols if only in (None, p)]
+        if not columns:
+            continue
+        print(f"\n== {title} ==")
+        for heading, figure in metrics:
+            for mob in mobilities:
+                print(f"\n-- {mob}: {heading} --")
+                print(f"{'rate':>10}" + "".join(f"{p:>14}" for p in columns))
+                for rate in dict.fromkeys(r for _, m, r in averaged if m == mob):
+                    row = (averaged.get((p, mob, rate)) for p in columns)
+                    print(f"{float(rate):8.0f}/s" + "".join(
+                        f"{v[figure]:14.4f}" if v else f"{'-':>14}" for v in row))
+
+
+def drop_fractions(points: dict) -> dict:
+    """fractions[(protocol, mobility)][rate] -> {reason: lost / expected},
+    from the cells' ledgers summed over seeds."""
+    out = defaultdict(dict)
+    for (proto, mob, rate), records in points.items():
+        ledgers = [json.loads(r["snapshot"])["ledger"] for r in records]
+        expected = sum(int(ledger["expected"]) for ledger in ledgers)
+        if expected:
+            out[(proto, mob)][float(rate)] = {
+                reason: sum(int(ledger["dropped"][reason]) for ledger in ledgers) / expected
+                for reason in ledgers[0]["dropped"]}
+    return out
+
+
+def loss_text(points: dict) -> None:
+    print("\n== Loss decomposition (ledger, fraction of expected) ==")
+    for (proto, mob), by_rate in drop_fractions(points).items():
+        print(f"-- {proto} / {mob} --")
+        for rate, parts in by_rate.items():
+            lost = [f"{reason}={frac:.4f}" for reason, frac in parts.items() if frac > 0]
+            print(f"  {rate:6.0f} pps  {' '.join(lost) if lost else '(no loss)'}")
+
+
 def summarize_campaign(art: Artifact, args) -> None:
     m = art.doc
     print(f"campaign: {m['total']} cells at revision {m['revision']} — "
@@ -861,16 +981,14 @@ def summarize_campaign(art: Artifact, args) -> None:
           f"{'OK' if m['conservation_ok'] else 'VIOLATED'}")
     print(f"  store {m['store']}\n  aggregate {m['aggregate']}")
 
-    # Per-protocol delivery, read from the cell records.
+    points = grid_points(art)
     per_proto: dict[str, list[int]] = {}
-    for cell in m["cells"]:
-        if cell["state"] == "failed":
-            continue
-        figures = load(indexed(art.path, cell["record"]), "cell record").doc["figures"]
-        agg = per_proto.setdefault(cell["label"].split("/", 1)[0], [0, 0, 0])
-        agg[0] += 1
-        agg[1] += int(figures["delivered"])
-        agg[2] += int(figures["expected"])
+    for (proto, _, _), records in points.items():
+        agg = per_proto.setdefault(proto, [0, 0, 0])
+        for record in records:
+            agg[0] += 1
+            agg[1] += int(record["figures"]["delivered"])
+            agg[2] += int(record["figures"]["expected"])
     if per_proto:
         print("\nper-protocol delivery:")
         for proto, (cells, delivered, expected) in sorted(per_proto.items()):
@@ -884,6 +1002,7 @@ def summarize_campaign(art: Artifact, args) -> None:
             note = cell["error"].splitlines()[0] if cell["error"] else "failed"
         print(f"{cell['label']:<40} {cell['state']:<8} {cell['attempts']:>3} "
               f"{cell['events']:>12}  {note}")
+    figure_tables(points)
 
 
 def summarize_cell(art: Artifact, args) -> None:
@@ -1015,125 +1134,57 @@ def save(fig, plt, outdir: Path, name: str) -> None:
     print(f"wrote {out}")
 
 
-SCENARIOS = ["stationary", "speed1", "speed2"]
-FIGURES = [
-    ("fig07_delivery", "delivery_ratio", "Packet Delivery Ratio (Fig. 7)"),
-    ("fig08_drop", "drop_ratio", "Average Packet Drop Ratio (Fig. 8)"),
-    ("fig09_delay", "avg_delay_s", "Average End-to-End Delay, s (Fig. 9)"),
-    ("fig10_retx", "retx_ratio", "Average Retransmission Ratio (Fig. 10)"),
-    ("fig11_overhead", "txoh_ratio", "Transmission Overhead Ratio (Fig. 11)"),
-    ("fig12_mrts_len", "mrts_len_avg", "Average MRTS Length, bytes (Fig. 12)"),
-    ("fig13_abort", "abort_avg", "Average MRTS Abortion Ratio (Fig. 13)"),
-]
-
-
-def sweep_rows(text: str) -> dict:
-    """rows[(protocol, mobility, rate)] -> list of per-seed row dicts."""
-    rows = defaultdict(list)
-    for row in csv.DictReader(io.StringIO(text)):
-        rows[(row["protocol"], row["mobility"], float(row["rate_pps"]))].append(row)
-    return rows
-
-
-def averaged(rows: dict, metric: str) -> dict:
-    """series[(protocol, mobility)] -> sorted [(rate, mean value)]."""
-    series = defaultdict(list)
-    for (proto, mob, rate), seed_rows in rows.items():
-        series[(proto, mob)].append(
-            (rate, statistics.fmean(float(r[metric]) for r in seed_rows)))
-    for pts in series.values():
-        pts.sort()
-    return series
-
-
-def drop_fractions(rows: dict) -> tuple[list[str], dict]:
-    """The drop_* columns present (none in pre-ledger CSVs), and
-    fractions[(protocol, mobility)] -> {rate: {reason: lost / expected}}."""
-    first = next(iter(rows.values()))[0]
-    reasons = sorted(c for c in first if c.startswith("drop_") and c != "drop_ratio")
-    out = defaultdict(dict)
-    for (proto, mob, rate), seed_rows in rows.items():
-        expected = sum(float(r["expected"]) for r in seed_rows) if reasons else 0
-        if expected:
-            out[(proto, mob)][rate] = {
-                reason: sum(float(r[reason]) for r in seed_rows) / expected
-                for reason in reasons}
-    return reasons, out
-
-
-def sweep_text(rows: dict) -> None:
-    for _, metric, title in FIGURES:
-        series = averaged(rows, metric)
-        protocols = sorted({p for p, _ in series})
-        print(f"\n== {title} ==")
-        for mob in SCENARIOS:
-            print(f"-- {mob} --")
-            print("rate".rjust(8) + "".join(p.rjust(12) for p in protocols))
-            rates = sorted({r for key, pts in series.items() if key[1] == mob
-                            for r, _ in pts})
-            for rate in rates:
-                cells = [f"{rate:8.0f}"]
-                for proto in protocols:
-                    value = dict(series.get((proto, mob), [])).get(rate, float("nan"))
-                    cells.append(f"{value:12.4f}")
-                print("".join(cells))
-    reasons, fractions = drop_fractions(rows)
-    if not reasons:
-        return
-    print("\n== Loss decomposition (ledger, fraction of expected) ==")
-    for (proto, mob), by_rate in sorted(fractions.items()):
-        print(f"-- {proto} / {mob} --")
-        for rate in sorted(by_rate):
-            parts = [f"{reason.removeprefix('drop_')}={frac:.4f}"
-                     for reason, frac in by_rate[rate].items() if frac > 0]
-            print(f"  {rate:6.0f} pps  {' '.join(parts) if parts else '(no loss)'}")
-
-
-def plot_sweep(art: Artifact, outdir: Path) -> None:
-    rows = sweep_rows(art.doc)
-    if not rows:
-        raise Usage(f"{art.path}: no rows parsed — is this a paper_sweep CSV?")
+def plot_paper_figures(art: Artifact, outdir: Path) -> None:
+    points = grid_points(art)
+    if not points:
+        raise Usage(f"{art.path}: no completed cells to plot")
     plt = pyplot()
     if plt is None:
-        sweep_text(rows)
+        figure_tables(points)
+        loss_text(points)
         return
-    for name, metric, title in FIGURES:
-        series = averaged(rows, metric)
-        protocols = sorted({p for p, _ in series})
-        fig, axes = plt.subplots(1, 3, figsize=(13, 4), sharey=True)
-        for ax, mob in zip(axes, SCENARIOS):
-            for proto in protocols:
-                pts = series.get((proto, mob), [])
-                if pts:
-                    xs, ys = zip(*pts)
-                    ax.plot(xs, ys, marker="o", label=proto)
+    protocols, mobilities, averaged = paper_view(points)
+    for name, title, metrics, only in PAPER_FIGURES:
+        columns = [p for p in protocols if only in (None, p)]
+        if not columns:
+            continue
+        fig, axes = plt.subplots(1, len(mobilities), figsize=(13, 4), sharey=True,
+                                 squeeze=False)
+        for ax, mob in zip(axes[0], mobilities):
+            for proto in columns:
+                for (heading, figure), style in zip(metrics, ("-", "--", ":")):
+                    pts = [(float(rate), point[figure])
+                           for (p, m, rate), point in averaged.items()
+                           if (p, m) == (proto, mob)]
+                    if pts:
+                        xs, ys = zip(*pts)
+                        ax.plot(xs, ys, style, marker="o",
+                                label=proto if len(metrics) == 1 else f"{proto} {heading}")
             ax.set_title(mob)
             ax.set_xlabel("source rate (pkt/s)")
             ax.grid(True, alpha=0.3)
-        axes[0].set_ylabel(title)
-        axes[0].legend()
+        axes[0][0].set_ylabel(metrics[0][0])
+        axes[0][0].legend()
         fig.suptitle(title)
         save(fig, plt, outdir, f"{name}.png")
 
     # Stacked bars: where the expected receptions that never arrived went.
-    reasons, fractions = drop_fractions(rows)
-    if not reasons:
-        print("(CSV has no drop_* columns — skipping fig_drop_reasons)")
-        return
-    protocols = sorted({p for p, _ in fractions})
-    fig, axes = plt.subplots(len(protocols), 3, figsize=(13, 3.5 * len(protocols)),
-                             sharey=True, squeeze=False)
+    fractions = drop_fractions(points)
+    reasons = list(dict.fromkeys(r for by_rate in fractions.values()
+                                 for parts in by_rate.values() for r in parts))
+    protocols = list(dict.fromkeys(p for p, _ in fractions))
+    fig, axes = plt.subplots(len(protocols), len(mobilities),
+                             figsize=(13, 3.5 * len(protocols)), sharey=True, squeeze=False)
     for row_i, proto in enumerate(protocols):
-        for col_i, mob in enumerate(SCENARIOS):
+        for col_i, mob in enumerate(mobilities):
             ax = axes[row_i][col_i]
             by_rate = fractions.get((proto, mob), {})
-            rates = sorted(by_rate)
+            rates = list(by_rate)
             bottom = [0.0] * len(rates)
             for reason in reasons:
                 vals = [by_rate[r][reason] for r in rates]
                 if any(vals):
-                    ax.bar(range(len(rates)), vals, bottom=bottom,
-                           label=reason.removeprefix("drop_"))
+                    ax.bar(range(len(rates)), vals, bottom=bottom, label=reason)
                     bottom = [b + v for b, v in zip(bottom, vals)]
             ax.set_xticks(range(len(rates)))
             ax.set_xticklabels([f"{r:.0f}" for r in rates])
@@ -1142,8 +1193,8 @@ def plot_sweep(art: Artifact, outdir: Path) -> None:
             ax.grid(True, axis="y", alpha=0.3)
         axes[row_i][0].set_ylabel("lost fraction of expected")
         # Legend from whichever panel of the row has loss.
-        for col_i in range(3):
-            handles, labels = axes[row_i][col_i].get_legend_handles_labels()
+        for ax in axes[row_i]:
+            handles, labels = ax.get_legend_handles_labels()
             if handles:
                 axes[row_i][0].legend(handles, labels, fontsize=8)
                 break
@@ -1291,8 +1342,8 @@ def cmd_plot(args) -> int:
     if args.bound and art.kind != "bench report":
         raise Usage("--bound applies to a bench report only")
     outdir = Path(args.outdir)
-    if art.kind == "sweep CSV":
-        plot_sweep(art, outdir)
+    if art.kind == "campaign manifest":
+        plot_paper_figures(art, outdir)
     elif art.kind == "bench report":
         plot_scaling(art, outdir, args.bound)
     elif art.kind in ("trace", "run manifest"):
