@@ -597,7 +597,6 @@ void BM_ShardedSmallExperiment(benchmark::State& state) {
   NetworkConfig cfg;
   cfg.num_nodes = static_cast<unsigned>(state.range(0));
   cfg.shards = static_cast<unsigned>(state.range(1));
-  cfg.shard_threads = cfg.shards;
   cfg.area = Rect{500.0 * (static_cast<double>(cfg.num_nodes) / 75.0), 300.0};
   cfg.protocol = Protocol::kRmac;
   cfg.seed = 7;
@@ -617,7 +616,6 @@ void BM_ShardedSmallExperiment(benchmark::State& state) {
     net->run_until(end);
     benchmark::DoNotOptimize(net->events_executed());
     state.counters["events"] = static_cast<double>(net->events_executed());
-    state.counters["threads"] = static_cast<double>(net->threads_used());
     state.counters["windows"] = static_cast<double>(net->windows_run());
     state.counters["messages"] = static_cast<double>(net->messages_exchanged());
     state.PauseTiming();
@@ -634,15 +632,14 @@ BENCHMARK(BM_ShardedSmallExperiment)
     ->UseRealTime();
 
 // BM_ShardedSmallExperiment with window telemetry recording (per-barrier
-// spans, per-shard busy clocks, per-worker execute/stall timing) and nothing
-// else — the telemetry observer effect in isolation.  CI ratio-gates this
+// spans, per-shard busy clocks) and nothing else — the telemetry observer
+// effect in isolation.  CI ratio-gates this
 // against the identical plain run at 1.05: telemetry must stay within 5% or
 // it cannot be left on for campaign runs.
 void BM_ShardedTelemetryExperiment(benchmark::State& state) {
   NetworkConfig cfg;
   cfg.num_nodes = static_cast<unsigned>(state.range(0));
   cfg.shards = static_cast<unsigned>(state.range(1));
-  cfg.shard_threads = cfg.shards;
   cfg.area = Rect{500.0 * (static_cast<double>(cfg.num_nodes) / 75.0), 300.0};
   cfg.protocol = Protocol::kRmac;
   cfg.seed = 7;
@@ -663,7 +660,6 @@ void BM_ShardedTelemetryExperiment(benchmark::State& state) {
     net->run_until(end);
     benchmark::DoNotOptimize(net->events_executed());
     state.counters["events"] = static_cast<double>(net->events_executed());
-    state.counters["threads"] = static_cast<double>(net->threads_used());
     state.counters["windows"] = static_cast<double>(net->windows_run());
     state.PauseTiming();
     net.reset();

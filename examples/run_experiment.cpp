@@ -5,28 +5,27 @@
 //       --rate 20 --packets 500 --seed 3 --nodes 75 [--ber 1e-5]
 //       [--capture 2.0] [--no-rbt] [--queue-limit 64] [--audit] [--digest]
 //       [--obs] [--obs-dir DIR] [--metrics] [--metrics-dir DIR] [--profile]
-//       [--shards n] [--shard-threads n]
-//       [--shard-partition stripes|grid|rcb] [--shard-grid RxC] [--shard-pin]
+//       [--shards n] [--shard-partition stripes|grid|rcb] [--shard-grid RxC]
 //       [--progress sec]
 //
-// --shards > 1 runs the spatially sharded parallel engine (docs/parallel.md)
-// with one worker thread per shard unless --shard-threads overrides it.
-// Its windows are exactly tau wide, so a sharded run reproduces the
-// one-shard physics.  --shard-partition picks the spatial partitioner;
-// --shard-grid fixes the grid shape (implies --shard-partition grid and
-// --shards R*C; an explicit --shards that disagrees is an error);
-// --shard-pin pins worker threads to CPUs (benchmarks on otherwise-idle
-// hosts).  --progress emits one JSON heartbeat line to stderr every `sec`
-// seconds of wall time.  Sharded runs record window/barrier telemetry
-// whenever --obs*, --metrics* or --progress reads it.
+// --shards > 1 runs the spatially sharded window engine (docs/parallel.md)
+// on one thread.  Its windows are exactly tau wide, so a sharded run
+// reproduces the one-shard physics; the `sharded engine` line names the
+// closest cross-shard node pair, which sets tau.  --shard-partition picks
+// the spatial partitioner; --shard-grid fixes the grid shape (implies
+// --shard-partition grid and --shards R*C; an explicit --shards that
+// disagrees is an error).  --progress emits one JSON heartbeat line to
+// stderr every `sec` seconds of wall time.  Sharded runs record
+// window/barrier telemetry whenever --obs*, --metrics* or --progress reads
+// it.
 //
 // --obs-dir attaches the flight recorder and writes the Perfetto trace (packet
 // slices plus channel and MAC-state counter tracks), journey JSONL, and run
 // manifest into DIR; the manifest lists every file the run wrote, and
 // `tools/rmacsim_report.py check DIR/<prefix>_manifest.json` checks them all
 // (`summary` on it prints them).  On sharded runs each shard gets its own
-// counter tracks, and the trace additionally carries per-worker window tracks
-// and per-window shard-load counters.  --obs attaches the recorder without
+// counter tracks, and the trace additionally carries per-window shard-load
+// counters.  --obs attaches the recorder without
 // writing artifacts (summary counts only) — handy for measuring the
 // recorder's observer effect.
 //
@@ -64,9 +63,8 @@ namespace {
                "          [--ber p] [--capture ratio] [--no-rbt] [--queue-limit n]\n"
                "          [--audit] [--digest] [--obs] [--obs-dir DIR]\n"
                "          [--metrics] [--metrics-dir DIR] [--profile]\n"
-               "          [--shards n] [--shard-threads n]\n"
-               "          [--shard-partition stripes|grid|rcb] [--shard-grid RxC]\n"
-               "          [--shard-pin] [--progress sec]\n"
+               "          [--shards n] [--shard-partition stripes|grid|rcb]\n"
+               "          [--shard-grid RxC] [--progress sec]\n"
                "          [--payload bytes] [--area WxH]\n"
                "       %s --worker CANONICAL [--worker-heartbeat sec]\n",
                argv0, argv0);
@@ -177,16 +175,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--shards") {
       c.shards = cli::number<unsigned>(arg, next());
       shards_explicit = true;
-    } else if (arg == "--shard-threads") {
-      c.shard_threads = cli::number<unsigned>(arg, next());
     } else if (arg == "--shard-partition") {
       c.shard_partition = parse_partition(next());
     } else if (arg == "--shard-grid") {
       parse_grid(next(), c.shard_grid_rows, c.shard_grid_cols);
       c.shard_partition = ShardPartition::kGrid;
       grid_explicit = true;
-    } else if (arg == "--shard-pin") {
-      c.shard_pin_workers = true;
     } else if (arg == "--progress") {
       c.progress.interval_s = cli::number<double>(arg, next());
     } else {
@@ -283,9 +277,13 @@ int main(int argc, char** argv) {
   if (c.trace_digest) std::printf("%-28s %016llx\n", "trace digest",
                                   static_cast<unsigned long long>(r.trace_digest));
   if (r.shard.shards > 0) {
-    std::printf("%-28s %u shards x %u threads, tau %.3f us, window %.3f us\n",
-                "sharded engine", r.shard.shards, r.shard.threads,
-                r.shard.tau.to_seconds() * 1e6, r.shard.window.to_seconds() * 1e6);
+    std::printf("%-28s %u shards, tau %.3f us", "sharded engine", r.shard.shards,
+                r.shard.tau.to_seconds() * 1e6);
+    if (r.shard.tau_node_a != kInvalidNode) {
+      std::printf(" (node %u | node %u, shards %u|%u)", r.shard.tau_node_a,
+                  r.shard.tau_node_b, r.shard.tau_shard_a, r.shard.tau_shard_b);
+    }
+    std::printf(", window %.3f us\n", r.shard.window.to_seconds() * 1e6);
     std::printf("%-28s %llu windows, %llu messages, %llu mirrors, %llu safety violations\n",
                 "", static_cast<unsigned long long>(r.shard.windows),
                 static_cast<unsigned long long>(r.shard.messages),

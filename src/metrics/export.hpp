@@ -8,8 +8,8 @@
 // expand into `_bucket{le="..."}`, `_sum`, and `_count` series.  Families
 // appear in name order and series in label order, so snapshots of a fixed
 // seed are byte-identical across runs (the determinism test pins this) —
-// with one carve-out: the rmacsim_shard_window_*_seconds worker/busy series
-// are wall-clock measurements by design and vary run to run.  Every other
+// with one carve-out: the rmacsim_shard_window_* busy series are wall-clock
+// measurements by design and vary run to run.  Every other
 // series never reads the wall clock.
 #pragma once
 

@@ -44,7 +44,6 @@ void meta_event(Buf& b, bool& first, int pid, int tid, const char* what,
 constexpr int kNodePid = 1;    // frame transmissions + deliveries, one tid per node
 constexpr int kTonePid = 2;    // RBT holds / ABT pulses, one tid per node
 constexpr int kCounterPid = 0;
-constexpr int kWorkerPid = 3;  // executor workers, one tid per worker
 constexpr int kShardPid = 4;   // above one shard: shard s's counters on pid kShardPid + s
 
 // mac_state arg names, in RmacProtocol::State enumerator order.
@@ -223,19 +222,9 @@ bool write_chrome_trace(const std::string& path, const std::vector<Journey>& jou
     }
   }
 
-  // Executor telemetry: worker execute slices over each retained window's
-  // sim-time span (the wall-clock execute/stall spans ride in args — the two
-  // time domains can't share an axis), plus engine-level counters.
+  // Window telemetry: engine-level counters over each retained window.
   if (telemetry != nullptr && telemetry->ring_count() > 0) {
     const WindowTelemetry& wt = *telemetry;
-    const bool have_workers = wt.workers() > 0 && !wt.sample_worker_execute_ns(0).empty();
-    if (have_workers) {
-      meta_event(b, first, kWorkerPid, 0, "process_name", "workers");
-      for (unsigned w = 0; w < wt.workers(); ++w) {
-        meta_event(b, first, kWorkerPid, static_cast<int>(w), "thread_name",
-                   "worker " + std::to_string(w));
-      }
-    }
     // One arg per shard, keyed by the shard index.
     const auto shard_counter = [&](const char* name, SimTime at,
                                    std::span<const std::uint64_t> values, auto&& put) {
@@ -268,19 +257,6 @@ bool write_chrome_trace(const std::string& path, const std::vector<Journey>& jou
                     [&](std::uint64_t events) { b.u64(events); });
       shard_counter("shard_busy_ms", s.from, wt.sample_shard_busy_ns(i),
                     [&](std::uint64_t ns) { b.dbl(static_cast<double>(ns) / 1e6); });
-      if (!have_workers) continue;
-      const auto exec_ns = wt.sample_worker_execute_ns(i);
-      const auto stall_ns = wt.sample_worker_stall_ns(i);
-      for (unsigned w = 0; w < wt.workers(); ++w) {
-        slice_open(kWorkerPid, w, s.from, s.to);
-        b.lit("window ");
-        b.u64(s.index);
-        b.lit(R"(","args":{"execute_ms":)");
-        b.dbl(static_cast<double>(exec_ns[w]) / 1e6);
-        b.lit(",\"stall_ms\":");
-        b.dbl(static_cast<double>(stall_ns[w]) / 1e6);
-        b.lit("}}");
-      }
     }
   }
 

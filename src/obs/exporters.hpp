@@ -43,13 +43,11 @@ class WindowTelemetry;
     std::span<const TimeSeriesCollector* const> timeseries = {}, bool mac_states = false);
 // Journey-list overload: export an already-merged set (merge_journeys) —
 // the sharded path, where one FlightRecorder per shard sees only a slice of
-// each packet's story.  When `telemetry` is set, the trace also carries one
-// track per executor worker (execute slices over each window's sim-time
-// span, wall-clock execute/stall spans in args) and, per retained window,
-// counters for window width, messages per window, events/s, the closing
-// barrier's tau and phantom refreshes ("barrier"), and each shard's events
-// ("shard_events") and advance wall time ("shard_busy_ms"), one arg per
-// shard.
+// each packet's story.  When `telemetry` is set, the trace also carries,
+// per retained window, counters for window width, messages per window,
+// events/s, the closing barrier's tau and phantom refreshes ("barrier"), and
+// each shard's events ("shard_events") and advance wall time
+// ("shard_busy_ms"), one arg per shard.
 [[nodiscard]] bool write_chrome_trace(
     const std::string& path, const std::vector<Journey>& journeys,
     std::span<const TimeSeriesCollector* const> timeseries = {}, bool mac_states = false,

@@ -25,22 +25,11 @@ WindowTelemetry::WindowTelemetry(std::size_t shards, Config config)
       ring_shard_events_(ring_.size() * shards, 0),
       ring_shard_busy_(ring_.size() * shards, 0) {}
 
-void WindowTelemetry::set_workers(unsigned workers) {
-  workers_ = workers;
-  worker_exec_.assign(workers, 0);
-  worker_stall_.assign(workers, 0);
-  ring_worker_exec_.assign(ring_.size() * workers, 0);
-  ring_worker_stall_.assign(ring_.size() * workers, 0);
-}
-
 void WindowTelemetry::record_window(SimTime from, SimTime to, SimTime tau,
                                     std::span<const std::uint64_t> shard_events,
                                     std::span<const std::uint64_t> shard_busy_ns,
                                     std::span<const std::uint32_t> msg_counts,
-                                    std::uint32_t phantom_refreshes,
-                                    std::span<const std::uint64_t> worker_execute_ns,
-                                    std::span<const std::uint64_t> worker_stall_ns,
-                                    std::uint64_t worker_wait_ns) {
+                                    std::uint32_t phantom_refreshes) {
   assert(shard_events.size() == shards_ && shard_busy_ns.size() == shards_);
   assert(msg_counts.size() == kMsgKinds);
 
@@ -81,18 +70,6 @@ void WindowTelemetry::record_window(SimTime from, SimTime to, SimTime tau,
   span_ = span_ + (to - from);
   width_us_.add((to - from).to_seconds() * 1e6);
   msgs_hist_.add(static_cast<double>(msgs));
-
-  if (!worker_execute_ns.empty() && !worker_exec_.empty()) {
-    has_worker_timing_ = true;
-    const std::size_t W = std::min<std::size_t>(workers_, worker_execute_ns.size());
-    for (std::size_t w = 0; w < W; ++w) {
-      worker_exec_[w] += worker_execute_ns[w];
-      worker_stall_[w] += worker_stall_ns[w];
-      ring_worker_exec_[slot * workers_ + w] = worker_execute_ns[w];
-      ring_worker_stall_[slot * workers_ + w] = worker_stall_ns[w];
-    }
-    worker_wait_ += worker_wait_ns;
-  }
 
   ++windows_;
 }
@@ -156,17 +133,6 @@ std::span<const std::uint64_t> WindowTelemetry::sample_shard_events(std::size_t 
 
 std::span<const std::uint64_t> WindowTelemetry::sample_shard_busy_ns(std::size_t i) const {
   return {ring_shard_busy_.data() + slot_of(i) * shards_, shards_};
-}
-
-std::span<const std::uint64_t> WindowTelemetry::sample_worker_execute_ns(
-    std::size_t i) const {
-  if (!has_worker_timing_ || workers_ == 0) return {};
-  return {ring_worker_exec_.data() + slot_of(i) * workers_, workers_};
-}
-
-std::span<const std::uint64_t> WindowTelemetry::sample_worker_stall_ns(std::size_t i) const {
-  if (!has_worker_timing_ || workers_ == 0) return {};
-  return {ring_worker_stall_.data() + slot_of(i) * workers_, workers_};
 }
 
 }  // namespace rmacsim

@@ -4,9 +4,9 @@
 // ran: the key is FNV-1a(canonical config string + code revision).  The
 // canonical string is a versioned, '|'-separated key=value rendering of every
 // ExperimentConfig field that can change figures, digests, or the metrics
-// snapshot.  Fields proven result-neutral (shard_threads, worker pinning,
-// observer/progress attachments, artifact paths) are deliberately excluded —
-// toggling them must hit the cache.
+// snapshot.  Fields proven result-neutral (observer/progress attachments,
+// artifact paths) are deliberately excluded — toggling them must hit the
+// cache.
 //
 // The string is also the worker-process wire format: the coordinator passes
 // it verbatim to `run_experiment --worker <canonical>`, the worker parses it

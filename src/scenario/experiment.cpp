@@ -11,14 +11,11 @@
 //     only the slice of a packet's story its shard executed), and each
 //     shard's time series gets its own counter tracks in the trace — every
 //     shard starts sampling at the same barrier with the same period, so
-//     sample times line up regardless of the thread count;
+//     sample times line up;
 //   * per-shard digests fold in shard order;
 //   * window telemetry (on whenever obs.record, metrics.enabled or a progress
-//     heartbeat reads it) lands in ShardSummary, the trace's worker and
-//     per-window counter tracks, and the rmacsim_shard_window_* series;
-//   * the profiler is thread-local, so one attaches on the driving thread
-//     and (at threads > 1) one per worker through the worker hook; the
-//     reports merge by section name.
+//     heartbeat reads it) lands in ShardSummary, the trace's per-window
+//     counter tracks, and the rmacsim_shard_window_* series.
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
@@ -162,32 +159,6 @@ void fill_node_metrics(ExperimentResult& r, const ExperimentConfig& config,
                                                      static_cast<double>(total_requests);
 }
 
-// Fold per-thread profiler reports into one: sections merged by name
-// (calls/total/self summed), re-sorted by self time like Profiler::report().
-Profiler::Report merge_profiler_reports(const std::vector<Profiler::Report>& reports) {
-  Profiler::Report out;
-  for (const Profiler::Report& r : reports) {
-    out.accounted_s += r.accounted_s;
-    for (const Profiler::SectionStats& s : r.sections) {
-      auto it =
-          std::find_if(out.sections.begin(), out.sections.end(),
-                       [&s](const Profiler::SectionStats& o) { return o.name == s.name; });
-      if (it == out.sections.end()) {
-        out.sections.push_back(s);
-      } else {
-        it->calls += s.calls;
-        it->total_ns += s.total_ns;
-        it->self_ns += s.self_ns;
-      }
-    }
-  }
-  std::sort(out.sections.begin(), out.sections.end(),
-            [](const Profiler::SectionStats& a, const Profiler::SectionStats& b) {
-              return a.self_ns != b.self_ns ? a.self_ns > b.self_ns : a.name < b.name;
-            });
-  return out;
-}
-
 }  // namespace
 
 void sweep_pending_reliable(std::span<Node* const> nodes, LossLedger& ledger) {
@@ -242,16 +213,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   net_cfg.app.payload_bytes = config.payload_bytes;
   net_cfg.app.strategy = config.strategy;
   net_cfg.shards = config.shards;
-  net_cfg.shard_threads = config.shard_threads;
   net_cfg.shard_partition = config.shard_partition;
   net_cfg.shard_grid_rows = config.shard_grid_rows;
   net_cfg.shard_grid_cols = config.shard_grid_cols;
-  net_cfg.shard_pin_workers = config.shard_pin_workers;
-
-  // Per-worker profilers must outlive the network: pool threads park holding
-  // a thread-local pointer to their profiler and only drop it when the pool
-  // joins inside ~Network.
-  std::vector<Profiler> worker_profilers;
 
   Network net{net_cfg};
   const std::size_t S = net.shard_count();
@@ -280,7 +244,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // transmissions are always local (remote mirrors emit no trace records).
   // Remote nodes reach a shard's auditor only as tone sources: their edges
   // come from the engine's remote-tone hook and their positions from the
-  // phantoms the shard's tone channels already use, so no worker reads
+  // phantoms the shard's tone channels already use, so no auditor reads
   // another shard's state.
   std::vector<std::unique_ptr<SimAuditor>> auditors;
   if (config.audit) {
@@ -314,7 +278,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // One digest per shard.  The digest folds structured fields only (feed()
   // skips kGeneric and never reads message text), so it subscribes
   // string-free like the auditor.  Above one shard the per-shard values fold
-  // in shard order: thread-independent, but interleaved differently than the
+  // in shard order: deterministic, but interleaved differently than the
   // serial stream, so sharded digests are pinned per shard count.  The
   // order-independent xsum companion IS serial-comparable (same record
   // multiset => same sum), which is what the mobile exactness tests check.
@@ -330,19 +294,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   // The profiler reads nothing but the wall clock; digests and event order
-  // are unaffected.  It attaches to the driving thread (parallel_runner
-  // workers each run their own run_experiment, so per-thread attachment is
-  // exactly the isolation needed), plus one per shard worker when a pool
-  // will actually spawn.
+  // are unaffected.  It attaches to the driving thread, which runs every
+  // shard (parallel_runner workers each run their own run_experiment, so
+  // per-thread attachment is exactly the isolation needed).
   std::optional<Profiler> profiler;
   if (config.profile) {
-    const unsigned tw = net_cfg.shard_threads == 0
-                            ? static_cast<unsigned>(S)
-                            : std::min(net_cfg.shard_threads, static_cast<unsigned>(S));
-    if (tw > 1) {
-      worker_profilers.resize(tw);
-      net.set_worker_hook([&worker_profilers](unsigned w) { worker_profilers[w].attach(); });
-    }
     profiler.emplace();
     profiler->attach();
   }
@@ -432,14 +388,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     r.profile.wall_s = run_wall_s;
     r.profile.events_per_sec =
         run_wall_s > 0.0 ? static_cast<double>(r.events_executed) / run_wall_s : 0.0;
-    if (sharded) {
-      std::vector<Profiler::Report> reports{profiler->report()};
-      for (const Profiler& p : worker_profilers) reports.push_back(p.report());
-      r.profile.report = merge_profiler_reports(reports);
-      r.profile.report.wall_s = run_wall_s;
-    } else {
-      r.profile.report = profiler->report();
-    }
+    r.profile.report = profiler->report();
     Profiler::detach();
   }
 
@@ -484,12 +433,18 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::string counts_json;
   if (sharded) {
     r.shard.shards = static_cast<unsigned>(S);
-    r.shard.threads = net.threads_used();
     r.shard.windows = net.windows_run();
     r.shard.messages = net.messages_exchanged();
     r.shard.remote_mirrors = net.remote_mirrors();
     r.shard.safety_violations = net.safety_violations();
     r.shard.tau = net.tau();
+    const Network::NodePair pair = net.tau_pair();
+    if (pair.a != kInvalidNode) {
+      r.shard.tau_node_a = pair.a;
+      r.shard.tau_node_b = pair.b;
+      r.shard.tau_shard_a = static_cast<unsigned>(net.shard_of(pair.a));
+      r.shard.tau_shard_b = static_cast<unsigned>(net.shard_of(pair.b));
+    }
     r.shard.window = net.window();
     r.shard.partition = net_cfg.shard_partition;
     r.shard.grid_rows = net.grid_rows();
@@ -594,7 +549,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       m.push_back({"git_revision", RMAC_GIT_REVISION, false});
       if (sharded) {
         m.push_back({"shards", std::to_string(r.shard.shards), true});
-        m.push_back({"shard_threads", std::to_string(r.shard.threads), true});
         m.push_back({"shard_partition", std::string(rmacsim::to_string(r.shard.partition)),
                      false});
         if (r.shard.grid_rows > 0) {

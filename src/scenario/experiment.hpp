@@ -34,19 +34,13 @@ struct ExperimentConfig {
   // Spatial sharding (docs/parallel.md).  shards == 1 runs the network as
   // one undivided world — none of the sharding machinery is built, and no
   // shard-only output is produced; shards > 1 cuts it into spatial shards
-  // run by the conservative parallel engine.  shard_threads is a request
-  // (0 = one worker per shard, clamped to the shard count); results depend
-  // only on the shard count, never on threads.
+  // run by the conservative window engine on the calling thread.
   unsigned shards{1};
-  unsigned shard_threads{0};
   // Spatial partitioner (stripes / R×C grid / recursive coordinate
   // bisection) and the grid shape (0 = derive near-square).
   ShardPartition shard_partition{ShardPartition::kStripes};
   unsigned shard_grid_rows{0};
   unsigned shard_grid_cols{0};
-  // Pin worker threads to CPUs (best-effort; benchmarks only — test runners
-  // oversubscribe the host).
-  bool shard_pin_workers{false};
 
   // Attach a SimAuditor for the run; violation counters land in
   // ExperimentResult::audit.  Costs trace-sink dispatch on the hot path, so
@@ -68,7 +62,7 @@ struct ExperimentConfig {
   // <10% on the audited 75-node paper scenario), so off by default.
   //
   // Above one shard, window telemetry (per-barrier spans, per-shard load,
-  // per-worker execute/stall wall time, cross-shard message mix) runs
+  // cross-shard message mix) runs
   // whenever something reads it: `record`, metrics.enabled, or a progress
   // heartbeat.
   struct ObsConfig {
@@ -209,12 +203,17 @@ struct ExperimentResult {
   // Populated when the run had more than one shard (zeros at one shard).
   struct ShardSummary {
     unsigned shards{0};
-    unsigned threads{0};              // effective worker count
     std::uint64_t windows{0};         // barriers executed
     std::uint64_t messages{0};        // cross-shard messages exchanged
     std::uint64_t remote_mirrors{0};  // remote transmissions mirrored
     std::uint64_t safety_violations{0};
     SimTime tau{SimTime::zero()};     // computed lookahead
+    // The closest cross-shard node pair, whose propagation delay is tau, and
+    // the shards that own them (kInvalidNode when no shard pair couples).
+    NodeId tau_node_a{kInvalidNode};
+    NodeId tau_node_b{kInvalidNode};
+    unsigned tau_shard_a{0};
+    unsigned tau_shard_b{0};
     SimTime window{SimTime::zero()};  // effective window width
     ShardPartition partition{ShardPartition::kStripes};
     unsigned grid_rows{0};            // resolved grid shape (0 for RCB)
@@ -223,8 +222,8 @@ struct ExperimentResult {
 
     // Window-telemetry analytics (zeros unless telemetry ran — see
     // ObsConfig for when it is enabled).
-    // The events-basis fields are deterministic across thread counts; the
-    // busy-basis fields are wall clock.
+    // The events-basis fields are deterministic; the busy-basis fields are
+    // wall clock.
     bool telemetry{false};
     double imbalance_busy{0.0};    // max-shard-busy / mean-shard-busy
     double imbalance_events{0.0};

@@ -296,8 +296,6 @@ void collect_metrics(MetricsRegistry& reg, Network& net) {
   // Sharded-engine series.
   reg.gauge("rmacsim_shard_count", {}, "spatial shards")
       .set(static_cast<double>(net.shard_count()));
-  reg.gauge("rmacsim_shard_threads", {}, "effective worker threads")
-      .set(static_cast<double>(net.threads_used()));
   const MetricLabels part{{"partition", to_string(net.config().shard_partition)}};
   for (std::size_t s = 0; s < net.shard_count(); ++s) {
     MetricLabels l = part;
@@ -316,8 +314,8 @@ void collect_metrics(MetricsRegistry& reg, Network& net) {
 
   // Window-telemetry series (present only when the run recorded telemetry —
   // see ExperimentConfig::ObsConfig).  The events-basis series are
-  // deterministic across thread counts; every *_seconds series below is wall
-  // clock and varies run to run.
+  // deterministic; every *_seconds series below and the busy-basis ones are
+  // wall clock and vary run to run.
   const WindowTelemetry* wt = net.window_telemetry();
   if (wt == nullptr || wt->windows() == 0) return;
   for (std::size_t s = 0; s < wt->shards(); ++s) {
@@ -354,19 +352,6 @@ void collect_metrics(MetricsRegistry& reg, Network& net) {
   reg.gauge("rmacsim_shard_window_speedup_bound", {{"basis", "events"}},
             "critical-path achievable speedup (total work / sum of per-window maxima)")
       .set(wt->speedup_bound_events());
-  for (unsigned w = 0; w < wt->workers(); ++w) {
-    reg.gauge("rmacsim_shard_window_worker_execute_seconds",
-              {{"worker", std::to_string(w)}},
-              "wall time this worker spent advancing shards")
-        .set(static_cast<double>(wt->worker_execute_ns(w)) / 1e9);
-    reg.gauge("rmacsim_shard_window_worker_stall_seconds",
-              {{"worker", std::to_string(w)}},
-              "wall time this worker waited at barriers for stragglers")
-        .set(static_cast<double>(wt->worker_stall_ns(w)) / 1e9);
-  }
-  reg.gauge("rmacsim_shard_window_worker_wait_seconds", {},
-            "wall time workers spent idle between windows (serial plan phase)")
-      .set(static_cast<double>(wt->worker_wait_ns()) / 1e9);
   reg.histogram("rmacsim_shard_window_width_us", 0.0, WindowTelemetry::kWidthHistHiUs,
                 WindowTelemetry::kWidthHistBins, {}, "window width distribution")
       .merge(wt->width_us_hist());

@@ -19,7 +19,6 @@
 #include "mac/mx/mx_protocol.hpp"
 #include "mac/rmac/rmac_protocol.hpp"
 #include "obs/window_telemetry.hpp"
-#include "sim/window_exec.hpp"
 
 namespace rmacsim {
 
@@ -140,7 +139,7 @@ namespace {
 
 // Stationary remote nodes appear in a shard's tone channels through this
 // fixed-position proxy: tone audibility needs a position per source, and a
-// cross-thread query against the owning shard's mobility model would race.
+// shard reads no state another shard owns.
 // Mobile remotes use TrajectoryMobility instead (exact replay of the owner's
 // sampled breakpoints, refreshed each barrier).
 class PinnedMobility final : public MobilityModel {
@@ -178,16 +177,22 @@ private:
 // window.
 constexpr SimTime kMaxWindow = SimTime::sec(3600);
 
-// Exact min squared distance between two point sets, pruned for the common
-// case where only a thin boundary band matters.  U-bound: take the a-point
-// nearest b's bounding box and pair it against all of b (O(|a|+|b|)); any
-// closer pair must then have both endpoints within sqrt(U) of the opposite
-// box, so the quadratic pass runs over two thin slivers.  At 100k nodes and
-// 8 shards this turns ~1.5e8 pair tests into a few thousand.
-double min_cross_pair_dist_sq(const std::vector<Vec2>& pos, const std::vector<NodeId>& a,
-                              const std::vector<NodeId>& b, Vec2 alo, Vec2 ahi, Vec2 blo,
-                              Vec2 bhi, std::vector<NodeId>& sliver_a,
-                              std::vector<NodeId>& sliver_b) {
+// Exact closest pair between two point sets (its squared distance and its
+// ids), pruned for the common case where only a thin boundary band matters.
+// U-bound: take the a-point nearest b's bounding box and pair it against all
+// of b (O(|a|+|b|)); any closer pair must then have both endpoints within
+// sqrt(U) of the opposite box, so the quadratic pass runs over two thin
+// slivers.  At 100k nodes and 8 shards this turns ~1.5e8 pair tests into a
+// few thousand.
+struct ClosestPair {
+  double d2{std::numeric_limits<double>::max()};
+  NodeId a{kInvalidNode};
+  NodeId b{kInvalidNode};
+};
+ClosestPair min_cross_pair(const std::vector<Vec2>& pos, const std::vector<NodeId>& a,
+                           const std::vector<NodeId>& b, Vec2 alo, Vec2 ahi, Vec2 blo,
+                           Vec2 bhi, std::vector<NodeId>& sliver_a,
+                           std::vector<NodeId>& sliver_b) {
   assert(!a.empty() && !b.empty());
   double best_pb = std::numeric_limits<double>::max();
   NodeId istar = a.front();
@@ -198,8 +203,12 @@ double min_cross_pair_dist_sq(const std::vector<Vec2>& pos, const std::vector<No
       istar = i;
     }
   }
-  double u2 = std::numeric_limits<double>::max();
-  for (const NodeId j : b) u2 = std::min(u2, distance_sq(pos[istar], pos[j]));
+  ClosestPair best;
+  for (const NodeId j : b) {
+    const double d2 = distance_sq(pos[istar], pos[j]);
+    if (d2 < best.d2) best = ClosestPair{d2, istar, j};
+  }
+  const double u2 = best.d2;
 
   sliver_a.clear();
   sliver_b.clear();
@@ -209,14 +218,13 @@ double min_cross_pair_dist_sq(const std::vector<Vec2>& pos, const std::vector<No
   for (const NodeId j : b) {
     if (point_bbox_dist_sq(pos[j], alo, ahi) <= u2) sliver_b.push_back(j);
   }
-  double m2 = u2;
   for (const NodeId i : sliver_a) {
     for (const NodeId j : sliver_b) {
       const double d2 = distance_sq(pos[i], pos[j]);
-      if (d2 < m2) m2 = d2;
+      if (d2 < best.d2) best = ClosestPair{d2, i, j};
     }
   }
-  return m2;
+  return best;
 }
 
 // Draw a placement for `config` (resampling for connectivity when asked);
@@ -354,7 +362,7 @@ private:
 
 // Per-shard ledger: records every mutator call with its simulation time so
 // finalize_ledger() can replay all shards' ops into the master ledger in one
-// deterministic (at, shard, op-index) order.  Worker threads only ever touch
+// deterministic (at, shard, op-index) order.  A shard's nodes only ever touch
 // their own shard's buffer.
 class Network::ShardLedgerBuffer final : public LossLedger {
 public:
@@ -428,6 +436,7 @@ Network::Network(NetworkConfig config) : config_{config} {
   } else {
     partition(placement);
     compute_lookahead(placement);
+    next_due_.resize(S);
     outboxes_.resize(S * S);
     remote_tx_.resize(S * S);
     msg_seq_.assign(S, 0);
@@ -699,7 +708,7 @@ void Network::compute_lookahead(const std::vector<Vec2>& placement) {
   const double ir = config_.phy.effective_interference_range();
   coupled_.assign(S * S, false);
 
-  double min_d2 = std::numeric_limits<double>::max();
+  ClosestPair closest;
   for (std::size_t a = 0; a < S; ++a) {
     for (std::size_t b = a + 1; b < S; ++b) {
       const double gap2 = bbox_bbox_dist_sq(bounds_[a].lo, bounds_[a].hi, bounds_[b].lo,
@@ -711,16 +720,16 @@ void Network::compute_lookahead(const std::vector<Vec2>& placement) {
       const bool c = mobile_ || gap2 <= ir * ir;
       coupled_[a * S + b] = coupled_[b * S + a] = c;
       if (!c) continue;
-      const double d2 = min_cross_pair_dist_sq(placement, shards_[a]->ids, shards_[b]->ids,
-                                               bounds_[a].lo, bounds_[a].hi, bounds_[b].lo,
-                                               bounds_[b].hi, prune_a_, prune_b_);
-      if (d2 < min_d2) min_d2 = d2;
+      const ClosestPair p =
+          min_cross_pair(placement, shards_[a]->ids, shards_[b]->ids, bounds_[a].lo,
+                         bounds_[a].hi, bounds_[b].lo, bounds_[b].hi, prune_a_, prune_b_);
+      if (p.d2 < closest.d2) closest = p;
     }
   }
 
-  tau_ = min_d2 == std::numeric_limits<double>::max()
-             ? kMaxWindow
-             : config_.phy.propagation_delay(std::sqrt(min_d2));
+  tau_pair_ = NodePair{closest.a, closest.b};
+  tau_ = closest.a == kInvalidNode ? kMaxWindow
+                                   : config_.phy.propagation_delay(std::sqrt(closest.d2));
   window_ = std::clamp(tau_, SimTime::ns(1), kMaxWindow);
 }
 
@@ -746,22 +755,23 @@ void Network::recompute_window() {
     dyn_bounds_[s] = BBox{lo, hi};
   }
 
-  double min_d2 = std::numeric_limits<double>::max();
+  ClosestPair closest;
   for (std::size_t a = 0; a < S; ++a) {
     for (std::size_t b = a + 1; b < S; ++b) {
-      const double d2 = min_cross_pair_dist_sq(
+      const ClosestPair p = min_cross_pair(
           pos_scratch_, shards_[a]->ids, shards_[b]->ids, dyn_bounds_[a].lo,
           dyn_bounds_[a].hi, dyn_bounds_[b].lo, dyn_bounds_[b].hi, prune_a_, prune_b_);
-      if (d2 < min_d2) min_d2 = d2;
+      if (p.d2 < closest.d2) closest = p;
     }
   }
+  tau_pair_ = NodePair{closest.a, closest.b};
 
   // Conservative window under motion: during a window of width W the closest
   // pair can close by at most 2*v_max*W, so W is safe when
   // W <= prop(d_min - 2*v_max*W).  Starting from prop(d_min) >= W*, one
   // application of the (decreasing) map already lands at or below the fixed
   // point; the loop exits the moment the iterate is self-consistent.
-  const double d = std::sqrt(min_d2);
+  const double d = std::sqrt(closest.d2);
   SimTime w = config_.phy.propagation_delay(d);
   for (int i = 0; i < 4; ++i) {
     const double reach = d - 2.0 * vmax_ * w.to_seconds();
@@ -885,7 +895,7 @@ void Network::drain_and_apply() {
     if (!inbox_.empty()) {
       // The deterministic merge rule: (at, NodeId, seq).  A node lives in
       // exactly one shard and each source stream is FIFO, so this is a total
-      // order independent of thread scheduling.
+      // order.
       std::sort(inbox_.begin(), inbox_.end(), [](const Msg& a, const Msg& b) {
         if (a.at != b.at) return a.at < b.at;
         if (a.node != b.node) return a.node < b.node;
@@ -927,16 +937,8 @@ void Network::finalize_window_record() {
     win_events_scratch_[s] = ex - prev_executed_[s];
     prev_executed_[s] = ex;
   }
-  std::span<const std::uint64_t> exec_ns;
-  std::span<const std::uint64_t> stall_ns;
-  std::uint64_t wait_ns = 0;
-  if (exec_ != nullptr) {
-    exec_ns = exec_->last_execute_ns();
-    stall_ns = exec_->last_stall_ns();
-    wait_ns = exec_->last_wait_ns();
-  }
   telemetry_->record_window(prev_clock_, clock_, tau_, win_events_scratch_, shard_busy_ns_,
-                            win_msgs_, pending_phantoms_, exec_ns, stall_ns, wait_ns);
+                            win_msgs_, pending_phantoms_);
   std::fill(shard_busy_ns_.begin(), shard_busy_ns_.end(), 0);
   win_msgs_.fill(0);
   pending_phantoms_ = 0;
@@ -951,8 +953,9 @@ SimTime Network::plan_next_barrier() {
   }
   if (mobile_) recompute_window();
   SimTime earliest = SimTime::max();
-  for (const auto& sh : shards_) {
-    earliest = std::min(earliest, sh->scheduler.next_event_time());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    next_due_[s] = shards_[s]->scheduler.next_event_time();
+    earliest = std::min(earliest, next_due_[s]);
   }
   // One lookahead window past the barrier — or, when the air is idle
   // everywhere beyond that, jump straight to the next pending event: the
@@ -970,32 +973,25 @@ SimTime Network::plan_next_barrier() {
   return next;
 }
 
+// Plan a barrier, advance every shard to it in shard order, repeat.
 void Network::run_windows(SimTime until) {
   assert(until >= clock_);
   until_ = until;
-  if (exec_ == nullptr) {
-    exec_ = std::make_unique<WindowExecutor>(
-        shards_.size(), config_.shard_threads, [this] { return plan_next_barrier(); },
-        [this](std::size_t s, SimTime t) {
-          if (telemetry_ == nullptr) {
-            shards_[s]->scheduler.run_until(t);
-            return;
-          }
-          // Per-shard busy time: written only by the shard's owning worker,
-          // read by the serial plan phase — the barrier handshake orders it.
-          const std::uint64_t t0 = mono_ns();
-          shards_[s]->scheduler.run_until(t);
-          shard_busy_ns_[s] += mono_ns() - t0;
-        },
-        config_.shard_pin_workers);
-    if (worker_hook_) exec_->set_worker_hook(worker_hook_);
-    threads_used_ = exec_->threads();
+  for (;;) {
+    const SimTime barrier = plan_next_barrier();
+    if (barrier == SimTime::max()) return;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      // Time only a shard with an event due: an idle shard's advance just
+      // moves its clock, which costs less than the two clock reads.
+      if (telemetry_ == nullptr || next_due_[s] > barrier) {
+        shards_[s]->scheduler.run_until(barrier);
+        continue;
+      }
+      const std::uint64_t t0 = mono_ns();
+      shards_[s]->scheduler.run_until(barrier);
+      shard_busy_ns_[s] += mono_ns() - t0;
+    }
   }
-  if (telemetry_ != nullptr) {
-    exec_->set_collect_timing(true);
-    if (telemetry_->workers() == 0) telemetry_->set_workers(exec_->threads());
-  }
-  exec_->run();
 }
 
 void Network::enable_window_telemetry() {
@@ -1010,15 +1006,10 @@ void Network::enable_window_telemetry() {
   shard_busy_ns_.assign(shards_.size(), 0);
 }
 
-void Network::set_worker_hook(std::function<void(unsigned)> hook) {
-  worker_hook_ = std::move(hook);
-  if (exec_ != nullptr) exec_->set_worker_hook(worker_hook_);
-}
-
 void Network::finalize_ledger() {
   // Replay every shard's buffered ops in (at, shard, op-index) order: per
   // shard the buffer is already time-ordered, so a stable merge by time with
-  // shard index as tie-break is a total, thread-independent order.
+  // shard index as tie-break is a total order.
   struct Key {
     SimTime at;
     std::uint32_t shard;

@@ -1,6 +1,6 @@
 // Builds a complete simulated network: scheduler, medium, busy-tone
 // channels, and per-node protocol stacks, from one declarative config —
-// as one world, or cut into spatial shards for the parallel engine.
+// as one world, or cut into spatial shards for the window engine.
 #pragma once
 
 #include <array>
@@ -21,7 +21,6 @@
 
 namespace rmacsim {
 
-class WindowExecutor;
 class WindowTelemetry;
 
 enum class MobilityScenario : std::uint8_t {
@@ -71,28 +70,24 @@ struct NetworkConfig {
   unsigned placement_attempts{200};
   // Spatial sharding (docs/parallel.md).  shards == 1, the default, builds
   // one undivided world; above that the network is cut into spatial shards
-  // run by the conservative parallel engine.  The other shard_* knobs only
+  // run by the conservative window engine.  The other shard_* knobs only
   // matter when shards > 1.
   unsigned shards{1};
-  unsigned shard_threads{0};  // 0 = one worker thread per shard
   ShardPartition shard_partition{ShardPartition::kStripes};
   // Grid shape for kGrid; 0 rows/cols derives a near-square R×C = shards
   // factorization (R ≤ C, widest area axis gets the larger count).
   unsigned shard_grid_rows{0};
   unsigned shard_grid_cols{0};
-  // Pin worker threads to CPUs (best-effort, Linux).  Off by default: test
-  // runners oversubscribe the host and pinning would serialize them.
-  bool shard_pin_workers{false};
 };
 
 // The simulation engine: one Scheduler/Medium/RBT/ABT/Tracer/DeliveryStats
 // stack per spatial shard, each holding only its own nodes.
 //
 // At one shard (the default) that stack is the whole network and nothing
-// else exists: no partition, no lookahead, no phantoms, no worker pool, and
-// nodes report straight into the master ledger.  run_until() advances the
-// shard's scheduler directly, so a one-shard run is the plain serial
-// discrete-event simulation the golden digests pin.
+// else exists: no partition, no lookahead, no phantoms, and nodes report
+// straight into the master ledger.  run_until() advances the shard's
+// scheduler directly, so a one-shard run is the plain serial discrete-event
+// simulation the golden digests pin.
 //
 // Above one shard (docs/parallel.md) the world is split by a pluggable
 // spatial partitioner — equal-count vertical stripes, an R×C grid
@@ -101,8 +96,9 @@ struct NetworkConfig {
 // placement.  Cross-shard physics travels as typed messages (frame
 // begin/abort, tone edges) captured by the Medium / ToneChannel seams during
 // a window and applied into the destination shard at the next barrier, in
-// (at, NodeId, seq) order, so results depend only on the partition — never
-// on thread count, worker placement, or scheduling.  Each shard's nodes
+// (at, NodeId, seq) order, so results depend only on the partition.  Every
+// window runs on the calling thread: the shards advance to the barrier one
+// after another, in shard order.  Each shard's nodes
 // report into a buffering ledger that finalize_ledger() replays into the
 // master ledger in one deterministic order.
 //
@@ -155,9 +151,9 @@ public:
   [[nodiscard]] DeliveryStats& delivery() noexcept { return only().delivery; }
 
   // Advance every shard to `until`: directly at one shard, in lookahead
-  // windows on the configured worker-thread count above that.  Callable
-  // repeatedly (warmup, then the measured span); pending cross-shard
-  // messages and the persistent worker pool survive between calls.
+  // windows above that.  Callable repeatedly (warmup, then the measured
+  // span); pending cross-shard messages survive between calls.  An exception
+  // from a shard's event propagates at once, mid-window.
   void run_until(SimTime until);
 
   // Start every node's BLESS hello schedule.
@@ -199,15 +195,10 @@ public:
     return id < phantoms_.size() ? phantoms_[id].get() : nullptr;
   }
 
-  // Per-window worker setup seam (profiler attachment).  Install before the
-  // first run_until.
-  void set_worker_hook(std::function<void(unsigned)> hook);
-
   // Per-barrier telemetry (window span/tau, per-shard events and busy-ns,
-  // per-worker execute/stall spans, cross-shard messages by kind, phantom
-  // refreshes).  Enable before the first run_until.  Also turns on the
-  // executor's wall-clock timing.  A one-shard network runs no windows, so it
-  // records nothing.
+  // cross-shard messages by kind, phantom refreshes).  Enable before the
+  // first run_until.  A one-shard network runs no windows, so it records
+  // nothing.
   void enable_window_telemetry();
   [[nodiscard]] WindowTelemetry* window_telemetry() noexcept { return telemetry_.get(); }
   [[nodiscard]] const WindowTelemetry* window_telemetry() const noexcept {
@@ -215,7 +206,7 @@ public:
   }
 
   // Called from the serial plan phase after every planned barrier (progress
-  // heartbeats).  Runs on the planning thread; keep it cheap.  A one-shard
+  // heartbeats).  Keep it cheap: it runs once per window.  A one-shard
   // network has no barriers: with a hook installed run_until advances in
   // equal chunks and calls it after each, which runs the same events in the
   // same order.
@@ -228,6 +219,15 @@ public:
   // Engine diagnostics (zero / empty at one shard).
   [[nodiscard]] SimTime tau() const noexcept { return tau_; }
   [[nodiscard]] SimTime window() const noexcept { return window_; }
+  // The closest cross-shard node pair, whose propagation delay is tau() (the
+  // pair of the last recomputation when mobile; both kInvalidNode when no
+  // shard pair is coupled).  Names the boundary that stalls a run when tau
+  // goes to 0.
+  struct NodePair {
+    NodeId a{kInvalidNode};
+    NodeId b{kInvalidNode};
+  };
+  [[nodiscard]] NodePair tau_pair() const noexcept { return tau_pair_; }
   // Resolved grid shape (rows=1, cols=shards for stripes; 0x0 for RCB).
   [[nodiscard]] unsigned grid_rows() const noexcept { return grid_rows_; }
   [[nodiscard]] unsigned grid_cols() const noexcept { return grid_cols_; }
@@ -238,7 +238,6 @@ public:
   // remote effect could land at or before the barrier they were drained at
   // (tau rounded below 1 ns).  Zero means the run was exact.
   [[nodiscard]] std::uint64_t safety_violations() const noexcept { return violations_; }
-  [[nodiscard]] unsigned threads_used() const noexcept { return threads_used_; }
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
 
 private:
@@ -285,8 +284,7 @@ private:
   std::vector<Node*> by_id_;             // by global NodeId
   // One proxy per remote-visible node, shared by every consumer shard:
   // stationary nodes pin at t=0, mobile nodes replay the owner's trajectory
-  // (position() is read-only, so concurrent shard queries are safe; the
-  // serial plan phase owns all mutation).
+  // (shards only read position(); the plan phase owns all mutation).
   std::vector<std::unique_ptr<MobilityModel>> phantoms_;
   std::vector<TrajectoryMobility*> mobile_phantom_of_;  // by id; null if unused
   std::vector<std::unique_ptr<ShardTxObserver>> observers_;
@@ -308,6 +306,7 @@ private:
   double vmax_{0.0};  // highest node speed anywhere (mobile lookahead)
 
   SimTime tau_{SimTime::zero()};
+  NodePair tau_pair_;
   SimTime window_{SimTime::zero()};
   SimTime clock_{SimTime::zero()};       // last barrier all shards reached
   SimTime prev_clock_{SimTime::zero()};  // the barrier before that
@@ -315,20 +314,19 @@ private:
   std::uint64_t windows_{0};
   std::uint64_t messages_{0};
   std::uint64_t violations_{0};
-  unsigned threads_used_{1};
 
   // Plan-phase scratch (serial; reused across barriers).
+  std::vector<SimTime> next_due_;  // per-shard earliest pending event
   std::vector<Vec2> pos_scratch_;
   std::vector<BBox> dyn_bounds_;
   std::vector<NodeId> prune_a_;
   std::vector<NodeId> prune_b_;
   std::vector<TrajectoryPoint> traj_scratch_;
 
-  // Window telemetry (all fed from the serial plan phase except
-  // shard_busy_ns_, which each owning worker writes during advance and the
-  // barrier handshake orders against the plan-phase read).  A window's
-  // messages are drained at the *next* plan call, so its record is finalized
-  // there: window_open_ marks a planned-but-unrecorded window.
+  // Window telemetry (fed from the plan phase, plus shard_busy_ns_, timed
+  // around the advance of each shard with an event due).  A window's messages are drained at the
+  // *next* plan call, so its record is finalized there: window_open_ marks a
+  // planned-but-unrecorded window.
   std::unique_ptr<WindowTelemetry> telemetry_;
   std::function<void()> barrier_hook_;
   RemoteToneHook remote_tone_hook_;
@@ -338,12 +336,6 @@ private:
   std::vector<std::uint64_t> shard_busy_ns_;       // per-shard advance wall-ns this window
   std::array<std::uint32_t, 4> win_msgs_{};        // by Msg::Kind
   std::uint32_t pending_phantoms_{0};
-
-  std::function<void(unsigned)> worker_hook_;
-  // Persistent pool; lazily built on the first sharded run_until so the
-  // configured hook and pinning flags apply.  Declared last: its destructor
-  // joins the workers before any shard state they touch is torn down.
-  std::unique_ptr<WindowExecutor> exec_;
 };
 
 }  // namespace rmacsim

@@ -413,13 +413,21 @@ TEST(CliNumbers, RunExperimentRefusesMalformedNumbers) {
 }
 
 TEST(CliNumbers, RunExperimentNamesAnUnknownFlag) {
-  // A flag the CLI does not know — here the window floor that sharded runs
-  // no longer have — is named on stderr before the usage text, exit 2.
-  const auto [code, err] =
-      run_capture_stderr(cat(RMAC_RUN_EXPERIMENT_BIN, " --shards 2 --lookahead-us 0"));
-  EXPECT_EQ(code, 2);
-  EXPECT_NE(err.find("error: unknown flag '--lookahead-us'"), std::string::npos) << err;
-  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  // A flag the CLI does not know — here the window floor and the worker-pool
+  // knobs that sharded runs no longer have — is named on stderr before the
+  // usage text, exit 2.
+  for (const auto& [args, flag] : std::vector<std::array<const char*, 2>>{
+           {"--lookahead-us 0", "--lookahead-us"},
+           {"--shard-threads 2", "--shard-threads"},
+           {"--shard-pin", "--shard-pin"},
+       }) {
+    const auto [code, err] =
+        run_capture_stderr(cat(RMAC_RUN_EXPERIMENT_BIN, " --shards 2 ", args));
+    EXPECT_EQ(code, 2) << args;
+    EXPECT_NE(err.find(cat("error: unknown flag '", flag, "'")), std::string::npos)
+        << args << ": " << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << args << ": " << err;
+  }
 }
 
 TEST(CliNumbers, RunCampaignRefusesMalformedNumbers) {

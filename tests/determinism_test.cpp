@@ -82,10 +82,10 @@ TEST(Determinism, DifferentSeedsActuallyDiffer) {
 
 // --- sharded engine matrix --------------------------------------------------
 //
-// The conservative parallel engine's contract (docs/parallel.md): for a fixed
+// The conservative window engine's contract (docs/parallel.md): for a fixed
 // shard count, results — every figure, the trace digest, and the ledger
-// totals — are a pure function of the config.  Thread count and repetition
-// must be invisible.  Different shard counts are DIFFERENT discretizations
+// totals — are a pure function of the config.  Repetition must be
+// invisible.  Different shard counts are DIFFERENT discretizations
 // of the same physics (windowed cross-shard delivery), so digests are pinned
 // per shard count, not across counts; shards=1 runs the monolithic path and
 // is covered by the golden-trace suite.
@@ -93,10 +93,9 @@ TEST(Determinism, DifferentSeedsActuallyDiffer) {
 constexpr Protocol kAllProtocols[] = {Protocol::kRmac, Protocol::kBmmm, Protocol::kDcf,
                                       Protocol::kBmw,  Protocol::kMx,   Protocol::kLamm};
 
-ExperimentConfig sharded_config(Protocol p, unsigned shards, unsigned threads) {
+ExperimentConfig sharded_config(Protocol p, unsigned shards) {
   ExperimentConfig c = small_config(p, MobilityScenario::kStationary);
   c.shards = shards;
-  c.shard_threads = threads;
   c.trace_digest = true;
   return c;
 }
@@ -112,10 +111,10 @@ void expect_identical_sharded(const ExperimentResult& a, const ExperimentResult&
   EXPECT_EQ(a.shard.messages, b.shard.messages);
 }
 
-TEST(Determinism, ShardMatrixIsThreadAndRepeatInvariantForEveryProtocol) {
+TEST(Determinism, ShardMatrixIsRepeatInvariantForEveryProtocol) {
   for (const Protocol p : kAllProtocols) {
     for (const unsigned shards : {2u, 4u}) {
-      const ExperimentResult ref = run_experiment(sharded_config(p, shards, 1));
+      const ExperimentResult ref = run_experiment(sharded_config(p, shards));
       SCOPED_TRACE(ref.config.label() + "/" + std::to_string(shards) + "shards");
       ASSERT_GT(ref.events_executed, 0u);
       ASSERT_EQ(ref.shard.shards, shards);
@@ -123,13 +122,7 @@ TEST(Determinism, ShardMatrixIsThreadAndRepeatInvariantForEveryProtocol) {
       EXPECT_TRUE(ref.ledger.conservation_ok())
           << ref.ledger.expected << " expected != " << ref.ledger.delivered
           << " delivered + " << ref.ledger.total_dropped() << " dropped";
-      for (const unsigned threads : {1u, 2u, 4u}) {
-        const ExperimentResult r = run_experiment(sharded_config(p, shards, threads));
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_identical_sharded(ref, r);
-        EXPECT_EQ(r.shard.safety_violations, 0u);
-        EXPECT_TRUE(r.ledger.conservation_ok());
-      }
+      expect_identical_sharded(ref, run_experiment(sharded_config(p, shards)));
     }
   }
 }
@@ -142,7 +135,6 @@ TEST(Determinism, ShardedMatchesSerialLedgerAndDeliveryTotalsAtOneShard) {
     serial.trace_digest = true;
     ExperimentConfig one = serial;
     one.shards = 1;
-    one.shard_threads = 4;  // must be ignored entirely at shards == 1
     const ExperimentResult a = run_experiment(serial);
     const ExperimentResult b = run_experiment(one);
     expect_identical(a, b);
@@ -154,7 +146,7 @@ TEST(Determinism, ShardedMatchesSerialLedgerAndDeliveryTotalsAtOneShard) {
 TEST(Determinism, ShardedMobileRunsAreRepeatInvariant) {
   // Mobility couples every shard pair (trajectory phantoms, per-barrier
   // window recomputation), which stresses the full message fan-out; repeat-
-  // and thread-invariance must survive it under every partitioner.
+  // invariance must survive it under every partitioner.
   struct Case {
     ShardPartition part;
     unsigned rows, cols, shards;
@@ -167,7 +159,6 @@ TEST(Determinism, ShardedMobileRunsAreRepeatInvariant) {
   for (const Case& cs : cases) {
     ExperimentConfig c = small_config(Protocol::kRmac, MobilityScenario::kSpeed2);
     c.shards = cs.shards;
-    c.shard_threads = 2;
     c.shard_partition = cs.part;
     c.shard_grid_rows = cs.rows;
     c.shard_grid_cols = cs.cols;
@@ -181,10 +172,10 @@ TEST(Determinism, ShardedMobileRunsAreRepeatInvariant) {
   }
 }
 
-TEST(Determinism, GridAndRcbPartitionsAreThreadAndRepeatInvariant) {
+TEST(Determinism, GridAndRcbPartitionsAreRepeatInvariant) {
   // The 2-D partitioners obey the same contract as stripes: for a fixed
   // partition, every figure, digest, and ledger total is a pure function of
-  // the config — worker count invisible.  Also pins the partition metadata
+  // the config.  Also pins the partition metadata
   // the result carries: resolved grid shape and non-empty per-shard
   // populations summing to the node count.
   struct Case {
@@ -199,7 +190,7 @@ TEST(Determinism, GridAndRcbPartitionsAreThreadAndRepeatInvariant) {
   };
   for (const Protocol p : {Protocol::kRmac, Protocol::kDcf}) {
     for (const Case& cs : cases) {
-      ExperimentConfig cfg = sharded_config(p, cs.shards, 1);
+      ExperimentConfig cfg = sharded_config(p, cs.shards);
       cfg.shard_partition = cs.part;
       cfg.shard_grid_rows = cs.rows;
       cfg.shard_grid_cols = cs.cols;
@@ -226,15 +217,7 @@ TEST(Determinism, GridAndRcbPartitionsAreThreadAndRepeatInvariant) {
       EXPECT_TRUE(ref.ledger.conservation_ok())
           << ref.ledger.expected << " expected != " << ref.ledger.delivered
           << " delivered + " << ref.ledger.total_dropped() << " dropped";
-      for (const unsigned threads : {2u, 4u}) {
-        ExperimentConfig c = cfg;
-        c.shard_threads = threads;
-        const ExperimentResult r = run_experiment(c);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_identical_sharded(ref, r);
-        EXPECT_EQ(r.shard.safety_violations, 0u);
-        EXPECT_TRUE(r.ledger.conservation_ok());
-      }
+      expect_identical_sharded(ref, run_experiment(cfg));
     }
   }
 }

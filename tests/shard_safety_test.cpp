@@ -29,7 +29,6 @@ ExperimentConfig small_config(Protocol p, std::uint64_t seed, unsigned shards) {
   c.drain = SimTime::sec(2);
   c.seed = seed;
   c.shards = shards;
-  c.shard_threads = 1;  // invariance across threads is determinism_test's job
   return c;
 }
 
@@ -220,7 +219,6 @@ TEST(ShardSafety, BoundaryReceiversDecodeByteIdenticalFrames) {
 
   NetworkConfig sharded_cfg = base;
   sharded_cfg.shards = 2;
-  sharded_cfg.shard_threads = 1;
   std::vector<RxRecord> sharded_rx;
   std::vector<NodeId> boundary_receivers;
   {
@@ -261,17 +259,47 @@ TEST(ShardSafety, SubNanosecondTauCountsAsSafetyViolations) {
   // so tau rounds to 0 and the window is held at 1 ns: a cross-shard effect
   // can then land on the barrier tick the destination has already run.  The
   // engine cannot prove such a run exact, and the safety counter says so
-  // for every message.
+  // for every message.  The engine names the boundary pair that set tau:
+  // one node on each side, no cross-shard pair closer, and whose distance
+  // gives exactly that delay.
+  const auto expect_tau_pair_named = [](Network& net) {
+    const Network::NodePair pair = net.tau_pair();
+    const unsigned n = net.config().num_nodes;
+    ASSERT_LT(pair.a, n);
+    ASSERT_LT(pair.b, n);
+    EXPECT_NE(net.shard_of(pair.a), net.shard_of(pair.b));
+    const auto pos = [&net](NodeId id) {
+      return net.node(id).mobility->position(SimTime::zero());
+    };
+    const double d = distance(pos(pair.a), pos(pair.b));
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        if (net.shard_of(i) != net.shard_of(j)) {
+          EXPECT_GE(distance(pos(i), pos(j)), d);
+        }
+      }
+    }
+    EXPECT_EQ(net.config().phy.propagation_delay(d), net.tau());
+  };
+  NetworkConfig spread;
+  spread.num_nodes = 14;
+  spread.area = Rect{240.0, 240.0};
+  spread.seed = 5;
+  spread.shards = 3;
+  Network spread_net{spread};
+  ASSERT_GT(spread_net.tau(), SimTime::zero());
+  expect_tau_pair_named(spread_net);
+
   NetworkConfig cfg;
   cfg.num_nodes = 6;
   cfg.area = Rect{0.2, 0.2};
   cfg.protocol = Protocol::kRmac;
   cfg.seed = 5;
   cfg.shards = 2;
-  cfg.shard_threads = 1;
   Network net{cfg};
   ASSERT_EQ(net.tau(), SimTime::zero());
   EXPECT_EQ(net.window(), SimTime::ns(1));
+  expect_tau_pair_named(net);
   net.start_routing();
   net.run_until(SimTime::sec(3));
   EXPECT_GT(net.messages_exchanged(), 0u);

@@ -1,13 +1,12 @@
 // Window/barrier telemetry (src/obs/window_telemetry.hpp): the recorder's
 // ring and analytics math, the determinism contract — every simulation-domain
 // field (window counts, per-shard event totals, message mix, phantom
-// refreshes) is a pure function of (config, shards, partition), invisible to
-// the worker-thread count — the telemetry summary surfaced on
-// ExperimentResult, the exported artifacts (per-shard counter tracks,
-// per-window shard-load counters and per-worker tracks in the Perfetto
-// trace, rmacsim_shard_window_* series in the metrics snapshot, and a
-// manifest that indexes exactly the files written), and the progress
-// heartbeat.
+// refreshes) is a pure function of (config, shards, partition), identical on
+// every repeat — the telemetry summary surfaced on ExperimentResult, the
+// exported artifacts (per-shard counter tracks and per-window shard-load
+// counters in the Perfetto trace, rmacsim_shard_window_* series in the
+// metrics snapshot, and a manifest that indexes exactly the files written),
+// and the progress heartbeat.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -41,7 +40,7 @@ void record(WindowTelemetry& wt, std::uint64_t ms0, std::uint64_t ms1,
             std::uint32_t phantoms = 0) {
   wt.record_window(SimTime::ms(static_cast<std::int64_t>(ms0)),
                    SimTime::ms(static_cast<std::int64_t>(ms1)), SimTime::us(50),
-                   events, busy, msgs, phantoms, {}, {}, 0);
+                   events, busy, msgs, phantoms);
 }
 
 TEST(WindowTelemetry, TotalsAndCriticalPathAnalytics) {
@@ -94,27 +93,6 @@ TEST(WindowTelemetry, RingEvictsOldestButTotalsKeepEverything) {
   // Totals are not bounded by the ring.
   EXPECT_EQ(wt.windows(), 3u);
   EXPECT_EQ(wt.events(), 21u);
-  // No worker timing was ever supplied: worker columns stay empty.
-  EXPECT_TRUE(wt.sample_worker_execute_ns(0).empty());
-}
-
-TEST(WindowTelemetry, WorkerTimingColumnsFillOnceWorkersAreSet) {
-  WindowTelemetry wt(2);
-  wt.set_workers(2);
-  const std::vector<std::uint64_t> ev{4, 6};
-  const std::vector<std::uint64_t> exec{100, 300};
-  const std::vector<std::uint64_t> stall{200, 0};
-  wt.record_window(SimTime::zero(), SimTime::ms(1), SimTime::us(50), ev, ev,
-                   std::array<std::uint32_t, 4>{}, 0, exec, stall, 42);
-  EXPECT_EQ(wt.workers(), 2u);
-  EXPECT_EQ(wt.worker_execute_ns(0), 100u);
-  EXPECT_EQ(wt.worker_execute_ns(1), 300u);
-  EXPECT_EQ(wt.worker_stall_ns(0), 200u);
-  EXPECT_EQ(wt.worker_stall_ns(1), 0u);
-  EXPECT_EQ(wt.worker_wait_ns(), 42u);
-  ASSERT_EQ(wt.sample_worker_execute_ns(0).size(), 2u);
-  EXPECT_EQ(wt.sample_worker_execute_ns(0)[1], 300u);
-  EXPECT_EQ(wt.sample_worker_stall_ns(0)[0], 200u);
 }
 
 TEST(WindowTelemetry, EmptyRecorderReportsZeroNotNan) {
@@ -126,10 +104,10 @@ TEST(WindowTelemetry, EmptyRecorderReportsZeroNotNan) {
   EXPECT_EQ(wt.ring_count(), 0u);
 }
 
-// --- determinism across thread counts and partitions -------------------------
+// --- determinism across repeats and partitions ------------------------------
 
 ExperimentConfig telemetry_config(std::uint64_t seed, ShardPartition part,
-                                  unsigned shards, unsigned threads) {
+                                  unsigned shards) {
   ExperimentConfig c;
   c.protocol = Protocol::kRmac;
   c.num_nodes = 14;
@@ -140,7 +118,6 @@ ExperimentConfig telemetry_config(std::uint64_t seed, ShardPartition part,
   c.drain = SimTime::sec(2);
   c.seed = seed;
   c.shards = shards;
-  c.shard_threads = threads;
   c.shard_partition = part;
   if (part == ShardPartition::kGrid) {
     c.shard_grid_rows = 2;
@@ -153,7 +130,7 @@ ExperimentConfig telemetry_config(std::uint64_t seed, ShardPartition part,
   return c;
 }
 
-TEST(WindowTelemetryDeterminism, SimDomainFieldsInvariantAcrossThreadCounts) {
+TEST(WindowTelemetryDeterminism, SimDomainFieldsInvariantAcrossRepeats) {
   struct Case {
     ShardPartition part;
     unsigned shards;
@@ -162,40 +139,34 @@ TEST(WindowTelemetryDeterminism, SimDomainFieldsInvariantAcrossThreadCounts) {
                         {ShardPartition::kGrid, 4},
                         {ShardPartition::kRcb, 4}};
   for (const Case& cs : cases) {
-    const ExperimentConfig base = telemetry_config(11, cs.part, cs.shards, 1);
-    const ExperimentResult ref = run_experiment(base);
-    SCOPED_TRACE(base.label() + "/" + to_string(cs.part));
+    const ExperimentConfig c = telemetry_config(11, cs.part, cs.shards);
+    const ExperimentResult ref = run_experiment(c);
+    SCOPED_TRACE(c.label() + "/" + to_string(cs.part));
     ASSERT_TRUE(ref.shard.telemetry);
     ASSERT_GT(ref.shard.windows, 0u);
     ASSERT_EQ(ref.shard.window_events.size(), cs.shards);
 
-    for (const unsigned threads : {2u, 4u}) {
-      ExperimentConfig c = telemetry_config(11, cs.part, cs.shards, threads);
-      const ExperimentResult r = run_experiment(c);
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      EXPECT_EQ(r.shard.windows, ref.shard.windows);
-      EXPECT_EQ(r.shard.window_events, ref.shard.window_events);
-      EXPECT_EQ(r.shard.messages_by_kind, ref.shard.messages_by_kind);
-      EXPECT_EQ(r.shard.phantom_refreshes, ref.shard.phantom_refreshes);
-      EXPECT_EQ(r.events_executed, ref.events_executed);
-      // Wall-clock analytics exist but are explicitly not compared: the
-      // events basis is the deterministic one.
-      EXPECT_EQ(r.shard.imbalance_events, ref.shard.imbalance_events);
-      EXPECT_EQ(r.shard.speedup_bound_events, ref.shard.speedup_bound_events);
-    }
+    const ExperimentResult r = run_experiment(c);
+    EXPECT_EQ(r.shard.windows, ref.shard.windows);
+    EXPECT_EQ(r.shard.window_events, ref.shard.window_events);
+    EXPECT_EQ(r.shard.messages_by_kind, ref.shard.messages_by_kind);
+    EXPECT_EQ(r.shard.phantom_refreshes, ref.shard.phantom_refreshes);
+    EXPECT_EQ(r.events_executed, ref.events_executed);
+    // Wall-clock analytics exist but are explicitly not compared: the
+    // events basis is the deterministic one.
+    EXPECT_EQ(r.shard.imbalance_events, ref.shard.imbalance_events);
+    EXPECT_EQ(r.shard.speedup_bound_events, ref.shard.speedup_bound_events);
   }
 }
 
 TEST(WindowTelemetryDeterminism, MobileRunPinsPhantomRefreshCounts) {
   // Mobility exercises the phantom-refresh counter; it must be nonzero and
-  // thread-invariant.
-  ExperimentConfig base = telemetry_config(3, ShardPartition::kGrid, 4, 1);
-  base.mobility = MobilityScenario::kSpeed1;
-  const ExperimentResult ref = run_experiment(base);
+  // repeat-invariant.
+  ExperimentConfig c = telemetry_config(3, ShardPartition::kGrid, 4);
+  c.mobility = MobilityScenario::kSpeed1;
+  const ExperimentResult ref = run_experiment(c);
   ASSERT_TRUE(ref.shard.telemetry);
   EXPECT_GT(ref.shard.phantom_refreshes, 0u);
-  ExperimentConfig c = base;
-  c.shard_threads = 4;
   const ExperimentResult r = run_experiment(c);
   EXPECT_EQ(r.shard.phantom_refreshes, ref.shard.phantom_refreshes);
   EXPECT_EQ(r.shard.window_events, ref.shard.window_events);
@@ -203,7 +174,7 @@ TEST(WindowTelemetryDeterminism, MobileRunPinsPhantomRefreshCounts) {
 }
 
 TEST(WindowTelemetryDeterminism, TelemetryIsObserverEffectFreeOnDigests) {
-  ExperimentConfig c = telemetry_config(7, ShardPartition::kStripes, 2, 2);
+  ExperimentConfig c = telemetry_config(7, ShardPartition::kStripes, 2);
   c.metrics.enabled = false;
   c.trace_digest = true;
   const ExperimentResult plain = run_experiment(c);
@@ -246,8 +217,8 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   // Regression for the --obs + --shards combination: sharded runs used to
   // silently skip the time-series collector.  Now every shard's samples land
   // on that shard's own counter tracks, the window ring lands as per-window
-  // counters and worker tracks, and the totals land in the metrics snapshot.
-  ExperimentConfig c = telemetry_config(5, ShardPartition::kGrid, 4, 4);
+  // counters, and the totals land in the metrics snapshot.
+  ExperimentConfig c = telemetry_config(5, ShardPartition::kGrid, 4);
   // Short enough that the ring (4096 windows) holds every window.
   c.warmup = SimTime::sec(4);
   c.num_packets = 4;
@@ -270,7 +241,7 @@ TEST(WindowTelemetryExport, ShardedObsRunWritesTimeseriesAndTelemetry) {
   for (const JsonValue& ev : trace.at("traceEvents").array()) {
     if (ev.at("ph").as_string() == "M") names.insert(ev.at("args").at("name").as_string());
   }
-  for (const char* n : {"shard 0", "shard 1", "shard 2", "shard 3", "workers", "worker 0"}) {
+  for (const char* n : {"shard 0", "shard 1", "shard 2", "shard 3"}) {
     EXPECT_EQ(names.count(n), 1u) << n;
   }
   const auto channel = counters(trace, "channel");
@@ -346,7 +317,7 @@ TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
   for (const unsigned shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const bool sharded = shards > 1;
-    ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, shards, 1);
+    ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, shards);
     const std::string dir = testing::TempDir() + "shard_only_" + std::to_string(shards);
     std::filesystem::remove_all(dir);
     c.obs.record = true;
@@ -392,7 +363,7 @@ TEST(WindowTelemetryExport, ShardOnlyOutputsAppearOnlyAboveOneShard) {
 }
 
 TEST(WindowTelemetryExport, TelemetryOffLeavesSummaryAndPathsEmpty) {
-  ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, 2, 1);
+  ExperimentConfig c = telemetry_config(5, ShardPartition::kStripes, 2);
   c.metrics.enabled = false;
   const ExperimentResult r = run_experiment(c);
   EXPECT_FALSE(r.shard.telemetry);
@@ -437,7 +408,7 @@ TEST(ProgressHeartbeat, MonolithicRunEmitsOrderedSnapshotsEndingDone) {
 }
 
 TEST(ProgressHeartbeat, ShardedRunReportsWindowsAndImbalance) {
-  ExperimentConfig c = telemetry_config(9, ShardPartition::kStripes, 2, 2);
+  ExperimentConfig c = telemetry_config(9, ShardPartition::kStripes, 2);
   std::vector<ExperimentConfig::RunProgress> seen;
   c.progress.interval_s = 1e-9;
   c.progress.sink = [&seen](const ExperimentConfig::RunProgress& p) {

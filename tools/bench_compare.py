@@ -15,10 +15,9 @@ CI usage (see .github/workflows/ci.yml):
 
 `cpu_time` is compared rather than `real_time`: shared runners jitter
 wall-clock far more than cycles.  The exception is benchmarks registered
-with UseRealTime (their JSON names end in `/real_time`): those measure work
-spread across internal worker threads — the sharded-engine scaling sweep —
-where main-thread cpu_time is just barrier waiting, so wall time is the only
-meaningful quantity and is used for both slowdown and ratio gates.
+with UseRealTime (their JSON names end in `/real_time`), the end-to-end
+sharded runs: they are registered to measure wall time, so wall time is used
+for both their slowdown and ratio gates.
 
 A missing or empty baseline degrades gracefully: the candidate's own gates
 (allocs_per_tx, --ratio-gate, --require) still run, but no slowdown check is
@@ -95,12 +94,6 @@ def main() -> int:
         if c is None:
             failures.append(f"{name}: present in baseline but missing from candidate")
             continue
-        # An entry that ran more worker threads than its host had CPUs (tagged
-        # by bench_report.py) measures oversubscription, not the code; its time
-        # depends on where it ran, so it can never gate a comparison.
-        if b.get("undersubscribed") or c.get("undersubscribed"):
-            rows.append((name, "   undersubscribed (not gated)"))
-            continue
         ratio = time_of(c) / time_of(b) if time_of(b) > 0 else float("inf")
         verdict = f"{ratio:6.2f}x"
         if ratio > 1.0 + args.threshold:
@@ -129,13 +122,6 @@ def main() -> int:
         if a is None or b is None:
             missing = name_a if a is None else name_b
             failures.append(f"ratio gate {gate}: {missing} missing from candidate")
-            continue
-        under = [n for n, e in ((name_a, a), (name_b, b)) if e.get("undersubscribed")]
-        if under:
-            failures.append(
-                f"ratio gate {gate}: {', '.join(under)} ran with more worker "
-                "threads than the host has CPUs (tagged undersubscribed) — "
-                "speedup cannot be validated on this machine")
             continue
         if time_of(b) <= 0:
             failures.append(f"ratio gate {gate}: {name_b} time is zero")

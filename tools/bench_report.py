@@ -108,13 +108,9 @@ def main() -> int:
         print("error: benchmark produced no JSON output", file=sys.stderr)
         return 1
 
-    # Host parallelism ground truth: a sharded-speedup entry measured with
-    # more worker threads than the host has CPUs is not a speedup measurement
-    # at all, so every trajectory entry is annotated with num_cpus and such
-    # entries are tagged "undersubscribed" (kept, for the counters — but
-    # bench_compare must never ratio-gate them).
+    # Every entry carries the host's CPU count, so a comparison across
+    # reports can tell when two rows ran on different hardware.
     num_cpus = raw.get("context", {}).get("num_cpus") or os.cpu_count() or 1
-    undersubscribed = []
 
     benchmarks = []
     for b in raw.get("benchmarks", []):
@@ -139,19 +135,8 @@ def main() -> int:
         }
         counters = {k: v for k, v in b.items()
                     if k not in known and isinstance(v, (int, float))}
-        # The sharded benchmarks publish their worker-thread count as a user
-        # counter named "threads"; google-benchmark serializes it over its
-        # own built-in `threads` field (which is always 1 here — the library
-        # itself runs single-threaded), so the raw field carries the counter
-        # whenever one was set.  Surface it so the tag is auditable.
-        worker_threads = b.get("threads", 1)
-        if worker_threads > 1:
-            counters["threads"] = worker_threads
         if counters:
             entry["counters"] = counters
-        if worker_threads > num_cpus:
-            entry["undersubscribed"] = True
-            undersubscribed.append(entry["name"])
         benchmarks.append(entry)
 
     # The benchmark library's own context block claims a `library_build_type`
@@ -190,13 +175,6 @@ def main() -> int:
     if lib_type != "release":
         print("WARNING: debug-build report — do not commit as BENCH_core.json",
               file=sys.stderr)
-    if undersubscribed:
-        print(f"WARNING: {len(undersubscribed)} entr{'y' if len(undersubscribed) == 1 else 'ies'} "
-              f"ran more worker threads than the host's {num_cpus} CPU(s) and were "
-              "tagged 'undersubscribed' — their wall times are not speedup "
-              "measurements:", file=sys.stderr)
-        for name in undersubscribed:
-            print(f"  {name}", file=sys.stderr)
     return 0
 
 

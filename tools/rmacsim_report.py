@@ -4,7 +4,7 @@
     python3 tools/rmacsim_report.py summary PATH [--worst N] [--journey ID] [--top N]
     python3 tools/rmacsim_report.py check PATH [PATH ...] [--expect-cached FRACTION]
     python3 tools/rmacsim_report.py diff A B
-    python3 tools/rmacsim_report.py plot PATH [OUTDIR] [--bound METRICS_JSON]
+    python3 tools/rmacsim_report.py plot PATH [OUTDIR]
 
 The kind of each input comes from its content (a schema id or a fixed
 shape), never from its file name:
@@ -16,7 +16,6 @@ shape), never from its file name:
                        "campaign" block
     campaign manifest  "schema": "rmacsim-campaign-v1" (run_campaign)
     cell record        "schema": "rmacsim-cell-v1" (a result-store entry)
-    bench report       "schema": "rmac-bench-core/1" (plot only)
 
 `check` re-verifies a trace's structure; a snapshot's conservation, its
 ledger series against its ledger block and, on a sharded run, the shard
@@ -27,9 +26,9 @@ the ledger breakdown, the shard-load table with a partition recommendation,
 and a campaign's per-protocol and per-cell tables followed by the paper's
 Figs. 7-13 tables.  `diff` compares two snapshots (or run manifests) series
 by series and two campaigns (or cell records) figure by figure.  `plot`
-draws Figs. 7-13 and the loss decomposition from a campaign, the channel
-timeline and shard load from a trace, and the sharded scaling curve from a
-bench report; without matplotlib it prints the same data as text.
+draws Figs. 7-13 and the loss decomposition from a campaign, and the channel
+timeline and shard load from a trace; without matplotlib it prints the same
+data as text.
 
 The paper grid is the campaign spec bench/paper_grid.json:
 
@@ -59,7 +58,6 @@ SCHEMA_KINDS = {
     "rmacsim-run-v1": "run manifest",
     "rmacsim-campaign-v1": "campaign manifest",
     "rmacsim-cell-v1": "cell record",
-    "rmac-bench-core/1": "bench report",
 }
 AGGREGATE_SCHEMA = "rmacsim-campaign-aggregate-v1"
 MAX_PROBLEMS = 20
@@ -552,8 +550,8 @@ def shard_problems(snap: Snapshot, err) -> str:
             err(f"{family}: {label} series {ids} != one per {label} 0..{n - 1}")
 
     counts = {name: snap.value(name) for name in (
-        "rmacsim_shard_count", "rmacsim_shard_threads",
-        "rmacsim_shard_windows_total", "rmacsim_shard_messages_total")}
+        "rmacsim_shard_count", "rmacsim_shard_windows_total",
+        "rmacsim_shard_messages_total")}
     bad = [n for n, v in counts.items()
            if not isinstance(v, (int, float)) or v < 0 or v != int(v)]
     for name in bad:
@@ -567,14 +565,11 @@ def shard_problems(snap: Snapshot, err) -> str:
     if bad:
         return ""
     shards = int(counts["rmacsim_shard_count"])
-    threads = int(counts["rmacsim_shard_threads"])
     windows = int(counts["rmacsim_shard_windows_total"])
 
     expect_ids("rmacsim_shard_nodes", "shard", shards)
     expect_ids("rmacsim_shard_window_events_total", "shard", shards)
     expect_ids("rmacsim_shard_window_busy_seconds", "shard", shards)
-    expect_ids("rmacsim_shard_window_worker_execute_seconds", "worker", threads)
-    expect_ids("rmacsim_shard_window_worker_stall_seconds", "worker", threads)
     kinds = label_values("rmacsim_shard_window_messages_total", "kind")
     if any(k not in MSG_KINDS for k in kinds) or len(set(kinds)) != len(kinds):
         err(f"rmacsim_shard_window_messages_total: bad kinds {kinds}")
@@ -592,7 +587,7 @@ def shard_problems(snap: Snapshot, err) -> str:
         for fam in ("rmacsim_shard_window_imbalance", "rmacsim_shard_window_speedup_bound"):
             if snap.value(fam, basis=basis) is None:
                 err(f"{fam}: missing basis={basis}")
-    return f"{windows} windows, {shards} shards, {threads} workers"
+    return f"{windows} windows, {shards} shards"
 
 
 def merge_problems(agg: Snapshot, cells: list[Snapshot], err) -> None:
@@ -766,13 +761,13 @@ def recommend(snap: Snapshot, partition: str) -> list[str]:
                      "boundary traffic is heavy; fewer, fatter shards (or a "
                      "partition with shorter boundaries) cuts it")
     bound = snap.value("rmacsim_shard_window_speedup_bound", basis="busy")
-    lines.append(f"critical-path bound: at most {bound:.2f}x speedup is "
-                 f"achievable on this run regardless of worker count")
+    lines.append(f"critical-path bound: no parallel execution of these "
+                 f"windows could run more than {bound:.2f}x faster")
     return lines
 
 
 def summarize_shards(snap: Snapshot, top: int) -> None:
-    """Shard-load table, worker breakdown and partition recommendation."""
+    """Shard-load table and partition recommendation."""
     if snap.value("rmacsim_shard_count") is None:
         raise Usage("no rmacsim_shard_count series — not a sharded run")
     if not snap.family("rmacsim_shard_window_width_us"):
@@ -781,13 +776,10 @@ def summarize_shards(snap: Snapshot, top: int) -> None:
     events = snap.by_label("rmacsim_shard_window_events_total", "shard")
     busy = snap.by_label("rmacsim_shard_window_busy_seconds", "shard")
     nodes = snap.by_label("rmacsim_shard_nodes", "shard")
-    execute = snap.by_label("rmacsim_shard_window_worker_execute_seconds", "worker")
-    stall = snap.by_label("rmacsim_shard_window_worker_stall_seconds", "worker")
     partitions = {s["labels"].get("partition") for s in snap.family("rmacsim_shard_nodes")}
     partition = partitions.pop() if len(partitions) == 1 else "?"
     w = hist_summary(snap.family("rmacsim_shard_window_width_us")[0])
-    print(f"[{partition}, {int(snap.value('rmacsim_shard_count'))} shards, "
-          f"{len(execute)} workers]")
+    print(f"[{partition}, {int(snap.value('rmacsim_shard_count'))} shards]")
     print(f"  {int(snap.value('rmacsim_shard_windows_total') or 0)} windows over "
           f"{w['sum'] / 1e6:.2f}s sim, {int(sum(events.values()))} events, "
           f"{int(snap.value('rmacsim_shard_messages_total') or 0)} cross-shard "
@@ -812,17 +804,6 @@ def summarize_shards(snap: Snapshot, top: int) -> None:
                  for b in ("busy", "events")}
     print(f"  imbalance: busy {imbalance['busy']:.2f}, "
           f"events {imbalance['events']:.2f} (1.00 = perfectly even)")
-    print()
-
-    # Worker wall-clock breakdown: execute vs barrier stall vs plan wait.
-    print(f"  {'worker':>6} {'execute':>12} {'stall':>12}  stall share")
-    for wk in sorted(execute, key=int):
-        tot = execute[wk] + stall.get(wk, 0.0)
-        frac = stall.get(wk, 0.0) / tot if tot else 0.0
-        print(f"  {int(wk):>6} {fmt_ns(execute[wk] * 1e9)} "
-              f"{fmt_ns(stall.get(wk, 0.0) * 1e9)}  {frac:.1%} {bar(frac, 12)}")
-    wait = snap.value("rmacsim_shard_window_worker_wait_seconds") or 0
-    print(f"  plan-phase wait (all workers idle): {fmt_ns(wait * 1e9).strip()}")
     print()
     print("  recommendation:")
     for line in recommend(snap, partition):
@@ -1255,97 +1236,11 @@ def plot_trace(art: Artifact, outdir: Path) -> None:
     shard_load_text(events, busy_ms)
 
 
-def scaling_families(report: dict) -> dict:
-    """BM_Sharded*Experiment sweep points grouped by benchmark family, in
-    registration order; each family's serial baseline runs one thread on
-    one shard."""
-    families = defaultdict(list)
-    for b in report.get("benchmarks", []):
-        name = b.get("name", "")
-        parts = name.split("/")  # BM_x/<arg0>/<arg1>/real_time
-        if not name.startswith("BM_Sharded") or "Experiment" not in name or len(parts) < 3:
-            continue
-        # arg0 = nodes, arg1 = shards.
-        family, arg0, arg1 = parts[:3]
-        family, label, serial = f"{family}/{arg0}", f"{arg1}s", arg1 == "1"
-        families[family].append({
-            "label": label, "time": b["real_time"], "unit": b.get("time_unit", "ms"),
-            "serial": serial, "undersubscribed": bool(b.get("undersubscribed"))})
-    return families
-
-
-def speedups(entries: list[dict]) -> list[tuple[str, float]] | None:
-    """(label, speedup over the serial baseline) of the entries that are not
-    undersubscribed; None without a baseline."""
-    base = next((e for e in entries if e["serial"]), None)
-    if base is None:
-        return None
-    return [(e["label"], base["time"] / e["time"]) for e in entries
-            if e["time"] > 0 and not e["undersubscribed"]]
-
-
-def scaling_text(families: dict, bound: float | None) -> None:
-    for family, entries in sorted(families.items()):
-        speed = dict(speedups(entries) or [])
-        print(family)
-        for e in entries:
-            s = f"{speed[e['label']]:5.2f}x" if e["label"] in speed else "    —"
-            tag = "  [undersubscribed]" if e["undersubscribed"] else ""
-            print(f"  {e['label']:<10} {e['time']:10.1f} {e['unit']}  speedup {s}{tag}")
-    if bound is not None:
-        print(f"measured critical-path bound: {bound:.2f}x (window telemetry, busy basis)")
-
-
-def plot_scaling(art: Artifact, outdir: Path, bound_path: str | None) -> None:
-    families = scaling_families(art.doc)
-    if not families:
-        raise Usage(f"{art.path}: no BM_Sharded*Experiment entries")
-    bound = None
-    if bound_path:
-        bound = snapshot_of(load(bound_path, "snapshot", "run manifest")).value(
-            "rmacsim_shard_window_speedup_bound", basis="busy")
-        if bound is None:
-            raise Usage(f"{bound_path}: no rmacsim_shard_window_speedup_bound "
-                        f"series — pass the metrics of a sharded run")
-    plt = pyplot()
-    if plt is not None:
-        fig, (ax_time, ax_speed) = plt.subplots(1, 2, figsize=(12, 5))
-        for family, entries in sorted(families.items()):
-            ax_time.plot([e["label"] for e in entries], [e["time"] for e in entries],
-                         marker="o", label=family)
-            pts = speedups(entries)
-            if pts:
-                ax_speed.plot([p[0] for p in pts], [p[1] for p in pts],
-                              marker="o", label=family)
-        ax_time.set_ylabel(f"wall time ({next(iter(families.values()))[0]['unit']})")
-        ax_time.set_xlabel("grid/threads")
-        ax_time.set_title("Sharded run wall time")
-        ax_speed.axhline(1.0, color="gray", lw=0.8, ls="--")
-        if bound is not None:
-            ax_speed.axhline(bound, color="tab:red", lw=1.0, ls=":")
-            ax_speed.annotate(f"achievable bound {bound:.2f}x (telemetry)",
-                              xy=(0.02, bound), xycoords=("axes fraction", "data"),
-                              va="bottom", fontsize=8, color="tab:red")
-        ax_speed.set_ylabel("speedup over serial baseline")
-        ax_speed.set_xlabel("grid/threads")
-        ax_speed.set_title("Scaling (undersubscribed entries excluded)")
-        for ax in (ax_time, ax_speed):
-            ax.grid(True, alpha=0.3)
-            ax.legend(fontsize=8)
-            ax.tick_params(axis="x", rotation=45)
-        save(fig, plt, outdir, "fig_scaling.png")
-    scaling_text(families, bound)
-
-
 def cmd_plot(args) -> int:
     art = load(args.path)
-    if args.bound and art.kind != "bench report":
-        raise Usage("--bound applies to a bench report only")
     outdir = Path(args.outdir)
     if art.kind == "campaign manifest":
         plot_paper_figures(art, outdir)
-    elif art.kind == "bench report":
-        plot_scaling(art, outdir, args.bound)
     elif art.kind in ("trace", "run manifest"):
         if art.kind == "run manifest":
             if "trace_json" not in art.doc:
@@ -1384,8 +1279,6 @@ def main(argv=None) -> int:
     p = verbs.add_parser("plot", help="write PNG figures (text without matplotlib)")
     p.add_argument("path")
     p.add_argument("outdir", nargs="?", default="plots")
-    p.add_argument("--bound", metavar="METRICS_JSON",
-                   help="bench report: draw a sharded run's measured speedup bound")
     p.set_defaults(run=cmd_plot)
     args = parser.parse_args(argv)
     try:
