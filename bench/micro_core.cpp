@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the simulator hot paths: event
 // scheduling, medium broadcast fan-out, tone-window queries, backoff
-// contention, and a whole small experiment as the end-to-end figure of
-// merit.
+// contention, BLESS hello handling, and a whole small experiment as the
+// end-to-end figure of merit.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "mac/backoff.hpp"
+#include "mac/dcf/dcf_protocol.hpp"
 #include "mac/frame_builders.hpp"
 #include "mobility/spatial_index.hpp"
+#include "net/bless_tree.hpp"
 #include "phy/medium.hpp"
 #include "phy/node_soa.hpp"
 #include "phy/tone_channel.hpp"
@@ -355,6 +357,39 @@ void BM_BackoffContention(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(fires));
 }
 BENCHMARK(BM_BackoffContention)->Arg(8)->Arg(75);
+
+// BLESS routing layer: one non-root tree hearing a refresh hello from each
+// of N neighbours per hello period, as in a settled network (a paper-density
+// node hears about 8; 32 is a dense cell).  Neighbours advertise 1-3 hops
+// and the root's current epoch, which rises once per period; every fourth
+// names this node as its parent, so the child table is refreshed too.
+// Reports the share of hellos that re-derived the parent from the whole
+// table.
+void BM_BlessHelloHeard(benchmark::State& state) {
+  const auto n = static_cast<NodeId>(state.range(0));
+  const NodeId self = n + 1;
+  Scheduler sched;
+  Medium medium{sched, PhyParams{}, Rng{1}};
+  StationaryMobility mob{{0.0, 0.0}};
+  Radio radio{medium, self, mob};
+  DcfProtocol mac{sched, radio, Rng{1}};
+  const BlessParams params;
+  BlessTree tree{sched, mac, 0, params, Rng{1}};
+  std::uint32_t epoch = 0;
+  for (auto _ : state) {
+    ++epoch;
+    for (NodeId i = 1; i <= n; ++i) {
+      tree.on_hello(i, HelloInfo{1 + i % 3, i % 4 == 0 ? self : 0, epoch});
+    }
+    sched.run_until(sched.now() + params.hello_period);
+  }
+  benchmark::DoNotOptimize(tree.parent());
+  state.counters["rescans_per_hello"] =
+      static_cast<double>(tree.rescans()) /
+      static_cast<double>(std::max<std::uint64_t>(tree.hellos_heard(), 1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(tree.hellos_heard()));
+}
+BENCHMARK(BM_BlessHelloHeard)->Arg(8)->Arg(32);
 
 // Steady-state delivery path: one broadcast through a warm 75-radio medium,
 // with a global allocation counter proving the whole transmit -> fan-out ->

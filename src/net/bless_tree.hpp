@@ -7,8 +7,17 @@
 // parent); a node adopts the freshest neighbour with the lowest hop count as
 // its parent, and learns its children by overhearing neighbours whose hello
 // names it as their parent.
+//
+// Per-hello work is O(1) amortized.  The neighbour table is a flat vector
+// sorted by NodeId; each table keeps a watermark (a lower bound on its
+// oldest last_heard) so the expiry sweeps run only when an entry may have
+// expired; and the parent is re-derived from the whole table only when the
+// change can unseat it or lower the freshness threshold (see
+// expire_and_reselect).  Every other hello compares the one changed entry
+// against the parent, which gives the same choice as a full scan.
 #pragma once
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -69,8 +78,9 @@ public:
   [[nodiscard]] std::vector<NodeId> children() const;
   [[nodiscard]] std::size_t child_count() const noexcept;
 
-  // Current (unexpired) one-hop neighbours — the receiver set for the
-  // flooding forwarding strategy and for §3.3's reliable broadcast mode.
+  // Current (unexpired) one-hop neighbours in ascending NodeId order — the
+  // receiver set for the flooding forwarding strategy and for §3.3's
+  // reliable broadcast mode.
   [[nodiscard]] std::vector<NodeId> neighbours() const;
 
   // Metrics: tree-repair activity over the run.
@@ -78,19 +88,35 @@ public:
   [[nodiscard]] std::uint64_t hellos_heard() const noexcept { return hellos_heard_; }
   [[nodiscard]] std::uint64_t parent_changes() const noexcept { return parent_changes_; }
   [[nodiscard]] std::uint64_t child_evictions() const noexcept { return child_evictions_; }
+  // Work count: parent selections that scanned the whole neighbour table.
+  [[nodiscard]] std::uint64_t rescans() const noexcept { return rescans_; }
 
 private:
   struct NeighbourEntry {
+    NodeId id;
     std::uint32_t hops;
     std::uint32_t epoch;
     SimTime last_heard;
   };
-
   void send_hello();
-  void expire_and_reselect();
+  // Applies a hello to the neighbour table and sets `changed` to the entry
+  // it wrote (none when it removed one); returns true when the change forces
+  // a full rescan (the parent's hop count worsened, or an entry holding the
+  // max epoch left or lowered it).
+  bool update_neighbour(NodeId from, const HelloInfo& info, SimTime now,
+                        std::optional<NeighbourEntry>& changed);
+  void expire_and_reselect(bool rescan, const std::optional<NeighbourEntry>& changed);
+  void rescan_parent();
+  [[nodiscard]] bool fresh(std::uint32_t epoch) const noexcept {
+    return !(epoch + params_.epoch_slack < best_epoch_);
+  }
   void schedule_triggered_hello();
   [[nodiscard]] SimTime expiry() const noexcept {
     return params_.hello_period * static_cast<std::int64_t>(params_.expiry_periods) +
+           params_.hello_jitter;
+  }
+  [[nodiscard]] SimTime child_expiry() const noexcept {
+    return params_.hello_period * static_cast<std::int64_t>(params_.child_expiry_periods) +
            params_.hello_jitter;
   }
 
@@ -105,16 +131,22 @@ private:
   std::uint64_t hellos_heard_{0};
   std::uint64_t parent_changes_{0};
   std::uint64_t child_evictions_{0};
+  std::uint64_t rescans_{0};
 
   NodeId parent_{kInvalidNode};
   std::uint32_t hops_;
   std::uint32_t epoch_{0};
-  std::unordered_map<NodeId, NeighbourEntry> neighbours_;
+  std::vector<NeighbourEntry> neighbours_;  // sorted by id
+  SimTime neighbour_watermark_{SimTime::max()};  // <= every neighbour's last_heard
+  std::uint32_t best_epoch_{0};  // max epoch over neighbours_, 0 when empty
   struct ChildEntry {
     SimTime last_heard;
     unsigned consecutive_failures{0};
   };
+  // Iterated in hash order by children(), which reaches the golden digests
+  // through the MRTS receiver lists; so it stays a hash map.
   std::unordered_map<NodeId, ChildEntry> children_;
+  SimTime child_watermark_{SimTime::max()};  // <= every child's last_heard
 };
 
 }  // namespace rmacsim

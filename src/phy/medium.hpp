@@ -9,7 +9,7 @@
 // Receiver lookup goes through a uniform-grid SpatialIndex whose packed CSR
 // buckets feed a structure-of-arrays mirror (phy/node_soa.hpp): the
 // candidate disk check is a contiguous squared-distance sweep over packed
-// x/y lanes (auto-vectorized) instead of a strided walk over Entry structs.
+// x/y lanes instead of a strided walk over Entry structs.
 // Candidates are visited in ascending NodeId order to keep event ordering
 // platform-independent.
 //

@@ -5,7 +5,7 @@
 // Walking the index's Entry structs costs a 56-byte strided load plus a
 // branchy mobility check per node; mirroring the positions into packed
 // parallel arrays (x[], y[], flags[]) turns the common all-stationary case
-// into a contiguous squared-distance sweep the compiler auto-vectorizes.
+// into a contiguous squared-distance sweep over each grid cell's lanes.
 //
 // Layout contract: lane k corresponds to the index's packed CSR slot k (see
 // SpatialIndex::for_each_packed), so the index's cell_range() spans are
@@ -66,10 +66,12 @@ public:
   // Visit every lane whose *exact* position at `t` lies within `radius` of
   // `center`: f(lane, d2) with d2 <= radius^2, or f(lane, d2) -> bool to
   // stop the walk on false.  Lanes missing any bit of RequireMask are
-  // prefiltered before the exact check.  The cached-position sweep is the
-  // vectorizable part; lanes inside the slack-expanded disk recompute the
+  // prefiltered before the exact check.  The cached position is checked
+  // against the slack-expanded disk first; lanes inside it recompute the
   // exact position only when kFlagMoving is set, so the distance expression
-  // matches SpatialIndex::for_each_in_range bit for bit.
+  // matches SpatialIndex::for_each_in_range bit for bit.  One loop per cell:
+  // a cell holds ~3 lanes at paper density, too few for a separate
+  // vectorized distance pass to pay.
   // Pre: index.prepare(t) and sync(index) already called.
   template <std::uint8_t RequireMask = 0, typename F>
   void for_each_in_disk(const SpatialIndex& index, Vec2 center, double radius, SimTime t,
@@ -85,15 +87,8 @@ public:
     for (int cy = box.cy0; cy <= box.cy1; ++cy) {
       for (int cx = box.cx0; cx <= box.cx1; ++cx) {
         const auto [first, last] = index.cell_range(cx, cy);
-        d2_scratch_.resize(last - first);
-        double* d2s = d2_scratch_.data();
-        // Branch-free candidate distances over the packed lanes — this loop
-        // is the one the compiler vectorizes.
         for (std::uint32_t k = first; k < last; ++k) {
-          d2s[k - first] = distance_sq(center, Vec2{xs[k], ys[k]});
-        }
-        for (std::uint32_t k = first; k < last; ++k) {
-          double d2 = d2s[k - first];
+          double d2 = distance_sq(center, Vec2{xs[k], ys[k]});
           if (d2 > reach2) continue;
           if constexpr (RequireMask != 0) {
             if ((fl[k] & RequireMask) != RequireMask) continue;
@@ -121,7 +116,6 @@ private:
   std::vector<MobilityModel*> mobs_;
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint32_t> lane_of_;  // dense NodeId -> lane
-  mutable std::vector<double> d2_scratch_;
 };
 
 }  // namespace rmacsim

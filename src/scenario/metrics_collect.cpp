@@ -226,11 +226,13 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
   }
 
   // --- tree + app ----------------------------------------------------------
-  std::uint64_t hellos_sent = 0, hellos_heard = 0, parent_changes = 0, evictions = 0;
+  std::uint64_t hellos_sent = 0, hellos_heard = 0, rescans = 0, parent_changes = 0,
+                evictions = 0;
   std::uint64_t app_generated = 0, app_received = 0, app_forwarded = 0;
   for (const Node* n : nodes) {
     hellos_sent += n->tree->hellos_sent();
     hellos_heard += n->tree->hellos_heard();
+    rescans += n->tree->rescans();
     parent_changes += n->tree->parent_changes();
     evictions += n->tree->child_evictions();
     app_generated += n->app->generated();
@@ -241,6 +243,9 @@ void collect_nodes(MetricsRegistry& reg, Protocol protocol, std::span<Node* cons
       .set(hellos_sent);
   reg.counter("rmacsim_tree_hellos_heard_total", {}, "BLESS hellos received")
       .set(hellos_heard);
+  reg.counter("rmacsim_tree_rescans_total", {},
+              "parent selections that scanned the whole neighbour table")
+      .set(rescans);
   reg.counter("rmacsim_tree_parent_changes_total", {}, "parent re-selections (repairs)")
       .set(parent_changes);
   reg.counter("rmacsim_tree_child_evictions_total", {},

@@ -269,19 +269,19 @@ SimTime Scheduler::next_event_time() const noexcept {
   for (std::size_t i = bucket_pos_; i < active_.size(); ++i) {
     if (active_[i].at < best) best = active_[i].at;
   }
-  if (best == SimTime::max() && ring_nodes_ != 0) {
-    // Nothing unconsumed under the cursor: peek the next chunked bucket.
-    const std::size_t c0 = static_cast<std::size_t>(cursor_tick_) & kBucketMask;
-    for (std::size_t d = 0; d < kBucketCount; ++d) {
-      const std::size_t idx = (c0 + d) & kBucketMask;
-      if ((ring_bits_[idx >> 6] & (1ull << (idx & 63))) == 0) continue;
+  if (ring_nodes_ != 0) {
+    // Chunks under the cursor were scheduled into its tick after the bucket
+    // was collected and may precede what is left of it; once the bucket is
+    // consumed, peek the next chunked one instead.
+    const std::int64_t rt = best == SimTime::max() ? next_ring_tick() : cursor_tick_;
+    if (rt >= 0) {
+      const std::size_t idx = static_cast<std::size_t>(rt) & kBucketMask;
       for (std::uint32_t c = bucket_head_[idx]; c != kNoChunk; c = chunks_[c].next) {
         const Chunk& ch = chunks_[c];
         for (std::uint32_t i = 0; i < ch.count; ++i) {
           if (ch.nodes[i].at < best) best = ch.nodes[i].at;
         }
       }
-      break;
     }
   }
   if (!heap_.empty() && heap_.front().at < best) best = heap_.front().at;

@@ -230,6 +230,68 @@ TEST(Scheduler, RandomChurnMatchesReferenceModel) {
   EXPECT_EQ(s.pending_count(), 0u);
 }
 
+// next_event_time() against the event step() runs next, over random
+// schedules that wrap the ring many times, land on its far edge, and spill
+// into the far heap, with run_until() parking the cursor between events
+// (so new events land in the cursor's tick after its bucket was collected).
+// Without cancels the prediction is exact; with cancels a tombstone may
+// still be reported, so it is only a lower bound.
+void check_next_event_time(bool with_cancels) {
+  Scheduler s;
+  std::uint64_t x = with_cancels ? 0x9e3779b97f4a7c15ULL : 0x2545f4914f6cdd1dULL;
+  auto rnd = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 33;
+  };
+  const auto delay = [&rnd] {
+    const auto r = static_cast<std::int64_t>(rnd());
+    switch (rnd() % 4) {
+      case 0: return SimTime::ns(r % 4096);                    // this tick or the next
+      case 1: return SimTime::us(r % 8'000);                   // inside the ring
+      case 2: return SimTime::us(8'000 + r % 1'000);           // across its far edge
+      default: return SimTime::ms(10) + SimTime::us(r % 90'000);  // far heap
+    }
+  };
+  std::vector<EventId> ids;
+  SimTime fired_at = SimTime::max();
+  std::uint64_t checked = 0;
+  for (int i = 0; i < 40'000; ++i) {
+    const std::uint64_t op = rnd() % 8;
+    if (op < 3) {
+      const SimTime at = s.now() + delay();
+      ids.push_back(s.schedule_at(at, [&fired_at, at] { fired_at = at; }));
+    } else if (op == 3 && with_cancels && !ids.empty()) {
+      const std::size_t k = rnd() % ids.size();
+      s.cancel(ids[k]);
+      ids[k] = ids.back();
+      ids.pop_back();
+    } else if (op == 4) {
+      s.run_until(s.now() + SimTime::us(static_cast<std::int64_t>(rnd() % 3'000)));
+    } else {
+      const SimTime predicted = s.next_event_time();
+      fired_at = SimTime::max();
+      if (!s.step()) {
+        if (!with_cancels) {
+          ASSERT_EQ(predicted, SimTime::max()) << "op " << i;
+        }
+        continue;
+      }
+      ++checked;
+      if (with_cancels) {
+        ASSERT_LE(predicted, fired_at) << "op " << i;
+      } else {
+        ASSERT_EQ(predicted, fired_at) << "op " << i;
+      }
+    }
+  }
+  EXPECT_GT(checked, 10'000u);
+  EXPECT_GT(s.now(), SimTime::ms(500));  // dozens of ring revolutions (~8.4 ms each)
+}
+
+TEST(Scheduler, NextEventTimeIsTheNextStepWithoutCancels) { check_next_event_time(false); }
+
+TEST(Scheduler, NextEventTimeBoundsTheNextStepWithCancels) { check_next_event_time(true); }
+
 TEST(Scheduler, LargeCaptureFallsBackToHeapAndStillRuns) {
   // Captures beyond the SBO budget must still work (heap fallback).
   Scheduler s;
